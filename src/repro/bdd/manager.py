@@ -66,11 +66,9 @@ tuned for CPython:
   canonicity guarantees bit-identical results either way — and an
   inline ``len`` check is far cheaper per insert than per-entry
   eviction bookkeeping on the kernel hot path.
-* ``iterative=True`` switches every operator to an explicit-stack
-  evaluator that performs the *same* algorithm in the same order (same
-  cache keys, same node-creation order — handles are bit-identical to
-  the recursive engine) without consuming Python stack frames; use it
-  for BDDs deeper than the recursion limit allows.
+* The operators recurse once per BDD level; a caller with BDDs deeper
+  than the interpreter's recursion limit wraps the work in
+  :func:`repro.utils.recursion_headroom`, as the DP does.
 * Cheap counters (:meth:`cache_stats`) expose unique-table and
   per-operator cache hit rates plus the complement-edge wins (free
   negations served, store rows saved, column bytes) for profiling.
@@ -133,10 +131,6 @@ class BDDManager:
     node_limit:
         Hard cap on the store row count; exceeded growth raises
         :class:`NodeLimitExceeded`.  ``None`` means unlimited.
-    iterative:
-        Evaluate operators with explicit stacks instead of Python
-        recursion (for BDDs deeper than the recursion limit).  Results
-        and handles are identical to the recursive engine.
     """
 
     ZERO = 0
@@ -155,7 +149,6 @@ class BDDManager:
         var_names: Optional[Sequence[str]] = None,
         order: Optional[Sequence[int]] = None,
         node_limit: Optional[int] = None,
-        iterative: bool = False,
     ) -> None:
         # Struct-of-arrays store indexed by row.  Row 0 is the terminal
         # (pseudo-variable -1, self-children); handle 0 = ZERO, handle
@@ -176,7 +169,6 @@ class BDDManager:
         self._size_cache: Dict[int, int] = {}
         self._support_cache: Dict[int, "frozenset[int]"] = {}
         self.node_limit = node_limit
-        self.iterative = iterative
 
         # Statistics counters (see cache_stats()): cache hits indexed by
         # _H_*, plus the free-negation count.
@@ -841,7 +833,6 @@ class BDDManager:
             var_names=[self.var_name(v) for v in range(self.num_vars)],
             order=self.order,
             node_limit=self.node_limit,
-            iterative=self.iterative,
         )
         new_roots = [self.transfer(r, fresh) for r in roots]
         return fresh, new_roots
@@ -901,7 +892,7 @@ def _build_engines(
     clears the dicts, level swaps rewrite the columns) and never
     rebound, so the closures always see current state.
 
-    Semantics (shared by both engine families):
+    Semantics:
 
     * ``apply_and`` — dedicated binary recursion.  The complement-pair
       test ``f == ¬g`` is an O(1) xor; ``apply_or`` funnels into the
@@ -921,12 +912,6 @@ def _build_engines(
       entries; canonicity makes the clear invisible to results and node
       counts (recomputation re-requests the same triples and resolves
       through unique-table hits).
-
-    ``mgr.iterative`` selects explicit-stack twins that perform the
-    same algorithm in the same order — same cache keys, same
-    node-creation order, handles bit-identical to the recursive engine
-    — without consuming Python stack frames (for BDDs deeper than the
-    recursion limit).
     """
     var_a = mgr._var
     lo_a = mgr._lo
@@ -934,7 +919,6 @@ def _build_engines(
     lvl = mgr._level_of
     vat = mgr._var_at_level
     unique = mgr._unique
-    unique_get = unique.get
     unique_setdefault = unique.setdefault
     and_cache = mgr._and_cache
     and_get = and_cache.get
@@ -948,30 +932,6 @@ def _build_engines(
     hi_append = hi_a.append
     cap = OP_CACHE_CAP
     h_unique, h_ite, h_and, h_xor = _H_UNIQUE, _H_ITE, _H_AND, _H_XOR
-
-    def mk(v: int, lo: int, hi: int) -> int:
-        # Closure twin of BDDManager._mk for the explicit-stack engines;
-        # the recursive engines inline this body at their two call sites.
-        if lo == hi:
-            return lo
-        c = hi & 1
-        if c:
-            lo ^= 1
-            hi ^= 1
-        key = (v << 64) | (lo << 32) | hi
-        row = unique_get(key)
-        if row is None:
-            row = len(var_a)
-            limit = mgr.node_limit
-            if limit is not None and row >= limit:
-                raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
-            var_append(v)
-            lo_append(lo)
-            hi_append(hi)
-            unique[key] = row
-        else:
-            hits[h_unique] += 1
-        return (row << 1) | c
 
     # ------------------------------------------------------------------
     # Recursive engines
@@ -1379,237 +1339,4 @@ def _build_engines(
         ite_cache[key] = r
         return r ^ n
 
-    if not mgr.iterative:
-        return apply_and, apply_or, apply_xor, apply_xnor, ite
-
-    # ------------------------------------------------------------------
-    # Explicit-stack engines (iterative=True)
-    # ------------------------------------------------------------------
-    # Each evaluator emulates its recursive twin exactly: same terminal
-    # rules, same cache keys, children explored 0-edge first, results
-    # combined in postorder.  Node creation order — and therefore every
-    # handle — is bit-identical to the recursive engine.  OR/XNOR/NOT
-    # need no engine of their own: they are O(1) wrappers over AND/XOR.
-
-    def and_iter(f: int, g: int) -> int:
-        """Conjunction ``f·g`` (explicit stack)."""
-        todo: List[Tuple[int, int, int]] = [(0, f, g)]
-        out: List[int] = []
-        while todo:
-            tag, a, b = todo.pop()
-            if tag == 0:
-                if a == b:
-                    out.append(a)
-                    continue
-                if a ^ b == 1:
-                    out.append(0)
-                    continue
-                if a < 2:
-                    out.append(b if a else 0)
-                    continue
-                if b < 2:
-                    out.append(a if b else 0)
-                    continue
-                if a > b:
-                    a, b = b, a
-                key = (a << 32) | b
-                r = and_get(key)
-                if r is not None:
-                    hits[h_and] += 1
-                    out.append(r)
-                    continue
-                ai = a >> 1
-                bi = b >> 1
-                va = var_a[ai]
-                vb = var_a[bi]
-                la = lvl[va]
-                lb = lvl[vb]
-                if la <= lb:
-                    v = va
-                    ac = a & 1
-                    a0 = lo_a[ai] ^ ac
-                    a1 = hi_a[ai] ^ ac
-                    if lb == la:
-                        bc = b & 1
-                        b0 = lo_a[bi] ^ bc
-                        b1 = hi_a[bi] ^ bc
-                    else:
-                        b0 = b1 = b
-                else:
-                    v = vb
-                    a0 = a1 = a
-                    bc = b & 1
-                    b0 = lo_a[bi] ^ bc
-                    b1 = hi_a[bi] ^ bc
-                todo.append((1, key, v))
-                todo.append((0, a1, b1))
-                todo.append((0, a0, b0))
-            else:
-                key, v = a, b
-                hi = out.pop()
-                lo = out.pop()
-                r = lo if lo == hi else mk(v, lo, hi)
-                if len(and_cache) >= cap:
-                    and_cache.clear()
-                and_cache[key] = r
-                out.append(r)
-        return out[0]
-
-    def or_iter(f: int, g: int) -> int:
-        """Disjunction (De Morgan wrapper over the AND engine)."""
-        return and_iter(f ^ 1, g ^ 1) ^ 1
-
-    def xor_iter(f: int, g: int) -> int:
-        """Exclusive-or ``f ⊕ g`` (explicit stack)."""
-        todo: List[Tuple[int, ...]] = [(0, f, g)]
-        out: List[int] = []
-        while todo:
-            frame = todo.pop()
-            if frame[0] == 0:
-                _, a, b = frame
-                c = (a ^ b) & 1
-                a &= -2
-                b &= -2
-                if a == b:
-                    out.append(c)
-                    continue
-                if a == 0:
-                    out.append(b | c)
-                    continue
-                if b == 0:
-                    out.append(a | c)
-                    continue
-                if a > b:
-                    a, b = b, a
-                key = (a << 32) | b
-                r = xor_get(key)
-                if r is not None:
-                    hits[h_xor] += 1
-                    out.append(r ^ c)
-                    continue
-                ai = a >> 1
-                bi = b >> 1
-                va = var_a[ai]
-                vb = var_a[bi]
-                la = lvl[va]
-                lb = lvl[vb]
-                if la <= lb:
-                    v = va
-                    a0 = lo_a[ai]
-                    a1 = hi_a[ai]
-                    if lb == la:
-                        b0 = lo_a[bi]
-                        b1 = hi_a[bi]
-                    else:
-                        b0 = b1 = b
-                else:
-                    v = vb
-                    a0 = a1 = a
-                    b0 = lo_a[bi]
-                    b1 = hi_a[bi]
-                todo.append((1, key, v, c))
-                todo.append((0, a1, b1))
-                todo.append((0, a0, b0))
-            else:
-                _, key, v, c = frame
-                hi = out.pop()
-                lo = out.pop()
-                r = lo if lo == hi else mk(v, lo, hi)
-                if len(xor_cache) >= cap:
-                    xor_cache.clear()
-                xor_cache[key] = r
-                out.append(r ^ c)
-        return out[0]
-
-    def xnor_iter(f: int, g: int) -> int:
-        """Equivalence (free-complement wrapper over the XOR engine)."""
-        return xor_iter(f, g) ^ 1
-
-    def ite_iter(f: int, g: int, h: int) -> int:
-        """If-then-else (explicit stack; binary subcases route into the
-        iterative AND/XOR engines, so no Python recursion anywhere)."""
-        todo: List[Tuple[int, ...]] = [(0, f, g, h)]
-        out: List[int] = []
-        while todo:
-            frame = todo.pop()
-            if frame[0] == 0:
-                _, a, b, c = frame
-                if a == 1:
-                    out.append(b)
-                    continue
-                if a == 0:
-                    out.append(c)
-                    continue
-                if b == c:
-                    out.append(b)
-                    continue
-                if a & 1:
-                    a ^= 1
-                    b, c = c, b
-                if b == a:
-                    b = 1
-                elif b == a + 1:
-                    b = 0
-                if c == a:
-                    c = 0
-                elif c == a + 1:
-                    c = 1
-                if b == c:
-                    out.append(b)
-                    continue
-                if b == 1:
-                    out.append(a if c == 0 else and_iter(a ^ 1, c ^ 1) ^ 1)
-                    continue
-                if b == 0:
-                    out.append(a ^ 1 if c == 1 else and_iter(a ^ 1, c))
-                    continue
-                if c == 0:
-                    out.append(and_iter(a, b))
-                    continue
-                if c == 1:
-                    out.append(and_iter(a, b ^ 1) ^ 1)
-                    continue
-                if b ^ c == 1:
-                    out.append(xor_iter(a, c))
-                    continue
-                n = b & 1
-                if n:
-                    b ^= 1
-                    c ^= 1
-                key = (a << 64) | (b << 32) | c
-                r = ite_get(key)
-                if r is not None:
-                    hits[h_ite] += 1
-                    out.append(r ^ n)
-                    continue
-                ai = a >> 1
-                bi = b >> 1
-                ci = c >> 1
-                level = lvl[var_a[ai]]
-                if lvl[var_a[bi]] < level:
-                    level = lvl[var_a[bi]]
-                if lvl[var_a[ci]] < level:
-                    level = lvl[var_a[ci]]
-                v = vat[level]
-                a0, a1 = (lo_a[ai], hi_a[ai]) if var_a[ai] == v else (a, a)
-                b0, b1 = (lo_a[bi], hi_a[bi]) if var_a[bi] == v else (b, b)
-                if var_a[ci] == v:
-                    cc = c & 1
-                    c0, c1 = lo_a[ci] ^ cc, hi_a[ci] ^ cc
-                else:
-                    c0 = c1 = c
-                todo.append((1, key, v, n))
-                todo.append((0, a1, b1, c1))
-                todo.append((0, a0, b0, c0))
-            else:
-                _, key, v, n = frame
-                hi = out.pop()
-                lo = out.pop()
-                r = lo if lo == hi else mk(v, lo, hi)
-                if len(ite_cache) >= cap:
-                    ite_cache.clear()
-                ite_cache[key] = r
-                out.append(r ^ n)
-        return out[0]
-
-    return and_iter, or_iter, xor_iter, xnor_iter, ite_iter
+    return apply_and, apply_or, apply_xor, apply_xnor, ite

@@ -77,7 +77,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         verify_level=args.verify_level,
         cache=args.cache,
         cache_dir=args.cache_dir,
-        cache_tier=args.cache_tier,
         fleet_weight=args.fleet_weight,
         flow=args.passes,
         **kwargs,
@@ -245,18 +244,11 @@ def main(argv: Optional[list] = None) -> int:
         help="cache directory (default: .ddbdd_cache)",
     )
     p.add_argument(
-        "--cache-tier",
-        choices=["tiered", "legacy"],
-        default="tiered",
-        help="cache backend: tiered (in-process LRU + sqlite + legacy "
-        "shard migration) or legacy (flat sharded JSON only)",
-    )
-    p.add_argument(
         "--cache-remote",
         default=None,
         metavar="URL",
         help="http:// base URL of a remote cache shard (a serve daemon "
-        "exposing /v1/cache/<sig>), slotted as tier 4 under the local "
+        "exposing /v1/cache/<sig>), slotted as tier 3 under the local "
         "tiers; '' disables (overrides $DDBDD_CACHE_REMOTE)",
     )
     p.add_argument(

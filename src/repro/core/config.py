@@ -154,17 +154,10 @@ class DDBDDConfig:
         Root directory of the on-disk cache.
     cache_max_entries:
         LRU size cap of the cache (entries, not bytes).
-    cache_tier:
-        Cache backend: ``"tiered"`` (default) is the three-tier stack of
-        :mod:`repro.runtime.tiers` — in-process LRU over a sqlite store,
-        with the legacy shard directory as a read-compatible migration
-        tier; ``"legacy"`` is the flat sharded-JSON store alone
-        (:mod:`repro.runtime.cache`).  Ignored when ``cache`` is
-        ``"off"``.
     cache_remote:
         Base URL (``http://host:port``) of a remote cache shard — a
         serve daemon exposing ``GET``/``PUT /v1/cache/<sig>`` — slotted
-        as tier 4 under memory, sqlite and the legacy shard walk (see
+        as tier 3 under memory and sqlite (see
         :mod:`repro.runtime.remote`).  ``None`` (default) disables the
         remote tier.  Defaults to the ``DDBDD_CACHE_REMOTE``
         environment variable when set.  Remote faults never surface as
@@ -247,7 +240,6 @@ class DDBDDConfig:
     cache: str = "off"
     cache_dir: str = ".ddbdd_cache"
     cache_max_entries: int = 8192
-    cache_tier: str = "tiered"
     cache_remote: Optional[str] = field(default_factory=_default_cache_remote)
     remote_deadline_s: float = 2.0
     remote_retries: int = 2
@@ -276,10 +268,6 @@ class DDBDDConfig:
             raise ValueError(f"cache must be off, read or readwrite, got {self.cache!r}")
         if self.cache_max_entries < 1:
             raise ValueError("cache_max_entries must be positive")
-        if self.cache_tier not in ("tiered", "legacy"):
-            raise ValueError(
-                f"cache_tier must be tiered or legacy, got {self.cache_tier!r}"
-            )
         if self.cache_remote is not None:
             if not isinstance(self.cache_remote, str) or not self.cache_remote.strip():
                 raise ValueError("cache_remote must be None or a non-empty http:// URL")

@@ -1,21 +1,18 @@
 """The ``synth`` pass: Algorithm 1 step 3 (per-supernode DP synthesis).
 
 Visits the collapsed network's supernodes and emits each one's best
-delay-driven decomposition into the mapped K-LUT network.  Two engines
-implement the identical contract (cell-for-cell equal output):
-
-* ``serial`` — the reference topological loop
-  (:func:`repro.core.ddbdd.serial_supernodes`);
-* ``wavefront`` — the :mod:`repro.runtime` phase A/B engine
-  (:func:`repro.runtime.schedule.wavefront_supernodes`): topological
-  wavefronts over a process pool plus the persistent content-addressed
-  DP cache.
+delay-driven decomposition into the mapped K-LUT network.  The pass
+runs the reference topological loop
+(:func:`repro.core.ddbdd.serial_supernodes`) when ``jobs == 1``, the
+cache is off and no budget or fault plan is set; otherwise it runs the
+:mod:`repro.runtime` phase A/B engine
+(:func:`repro.runtime.schedule.wavefront_supernodes`): topological
+wavefronts over a process pool plus the persistent content-addressed
+DP cache.  Both produce cell-for-cell equal output.
 
 Pass options (flow script: ``synth(jobs=4, cache=readwrite)``) override
 the corresponding :class:`~repro.core.config.DDBDDConfig` knobs for
-this pass only; ``engine=auto`` (default) picks the serial loop exactly
-when ``jobs == 1`` and the cache is off, reproducing the historical
-dispatch of ``ddbdd_synthesize``.
+this pass only.
 """
 
 from __future__ import annotations
@@ -26,13 +23,11 @@ from repro.analysis.diagnostics import WARNING, raise_on_errors, with_stage
 from repro.analysis.failcheck import check_failure_reports
 from repro.core.config import DDBDDConfig
 from repro.core.ddbdd import serial_supernodes
-from repro.flow.pipeline import BasePass, FlowError
+from repro.flow.pipeline import BasePass
 from repro.flow.registry import register_pass
 from repro.flow.state import FlowState
 from repro.network.netlist import BooleanNetwork
 from repro.runtime.schedule import wavefront_supernodes
-
-_ENGINES = ("auto", "serial", "wavefront")
 
 
 @register_pass("synth")
@@ -41,39 +36,13 @@ class SynthPass(BasePass):
 
     requires = ("work",)
     provides = ("mapped",)
-    option_names = (
-        "engine",
-        "jobs",
-        "cache",
-        "cache_dir",
-        "cache_max_entries",
-        "cache_tier",
-        "fleet_weight",
-    )
-
-    def __init__(self, **options: object) -> None:
-        super().__init__(**options)
-        engine = self.options.get("engine", "auto")
-        if engine not in _ENGINES:
-            raise FlowError(
-                f"synth engine must be one of {', '.join(_ENGINES)}, got {engine!r}"
-            )
-        self.engine: str = str(engine)
+    option_names = ("jobs", "cache", "cache_dir", "cache_max_entries", "fleet_weight")
 
     def effective_config(self, config: DDBDDConfig) -> DDBDDConfig:
         """``config`` with this pass's runtime-knob overrides applied
         (validation runs through ``DDBDDConfig.__post_init__``)."""
         overrides = {
-            key: self.options[key]
-            for key in (
-                "jobs",
-                "cache",
-                "cache_dir",
-                "cache_max_entries",
-                "cache_tier",
-                "fleet_weight",
-            )
-            if key in self.options
+            key: self.options[key] for key in self.option_names if key in self.options
         }
         return replace(config, **overrides) if overrides else config
 
@@ -92,9 +61,8 @@ class SynthPass(BasePass):
             state.resolve.update({pi: (pi, False, 0) for pi in state.work.pis})
             state.external.update(state.work.pis)
 
-        serial = self.engine == "serial" or (
-            self.engine == "auto"
-            and config.effective_jobs == 1
+        serial = (
+            config.effective_jobs == 1
             and config.cache == "off"
             and not config.resilience_active
         )

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a parsed ``DDBDD_FAULTS`` specification — a
 seeded, reproducible list of faults to fire at well-defined injection
-points in :mod:`repro.runtime.pool`, :mod:`repro.runtime.cache` and the
+points in :mod:`repro.runtime.pool`, :mod:`repro.runtime.tiers` and the
 DP budget meter.  Grammar (whitespace-insensitive)::
 
     plan  := fault (';' fault)*
@@ -40,7 +40,7 @@ kind               site  effect at the injection point
 ``blowup``         job   force the job's :class:`~repro.resilience.budget.
                          BudgetMeter` to report a ``"nodes"`` breach,
                          modelling a BDD blow-up
-``corrupt_shard``  put   truncate the just-written cache shard,
+``corrupt_shard``  put   truncate the just-written sqlite cache row,
                          modelling a torn write
 ``net_timeout``    get/  the addressed remote-tier op times out at the
                    put   socket, modelling a dead or partitioned shard
@@ -338,7 +338,7 @@ def forced_blowup(seq: int) -> bool:
 
 
 def note_put() -> bool:
-    """Injection point: a cache shard was just written; corrupt it?"""
+    """Injection point: a cache entry was just written; corrupt it?"""
     return _ACTIVE is not None and _ACTIVE.note_put()
 
 

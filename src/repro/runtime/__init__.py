@@ -12,12 +12,11 @@ provides an equivalent engine that
   singleflight dedup per content signature
   (:mod:`repro.runtime.fleet`),
 * memoizes supernode DP emissions in a tiered content-addressed store —
-  in-process LRU over a cross-process-safe sqlite file, with the legacy
-  sharded-JSON layout as a read-compatible migration tier and an
+  in-process LRU over a cross-process-safe sqlite file, with an
   optional remote HTTP shard (a ``ddbdd serve --cache-root`` daemon)
   as the slowest rung, fault-hardened behind per-endpoint circuit
   breakers (:mod:`repro.runtime.tiers`, :mod:`repro.runtime.remote`,
-  :mod:`repro.runtime.cache`, :mod:`repro.runtime.signature`),
+  :mod:`repro.runtime.signature`),
 * coordinates whole *fleets* of daemons sharing one cache root through
   generation-stamped sqlite claim leases, so each content signature is
   computed exactly once fleet-wide even across process boundaries
@@ -31,13 +30,12 @@ provides an equivalent engine that
   (:mod:`repro.resilience.ladder`).
 
 The engine is engaged by the ``synth`` pass of the
-:mod:`repro.flow` pipeline when ``DDBDDConfig.jobs != 1`` or
-``DDBDDConfig.cache != "off"`` (or forced via the ``engine=wavefront``
-pass option), and is contractually deterministic: its output network is
-identical — names, fanins, functions — to the serial loop's.
+:mod:`repro.flow` pipeline when ``DDBDDConfig.jobs != 1``,
+``DDBDDConfig.cache != "off"`` or a budget or fault plan is set, and is
+contractually deterministic: its output network is identical — names,
+fanins, functions — to the serial loop's.
 """
 
-from repro.runtime.cache import DEFAULT_MAX_ENTRIES, EmissionCache
 from repro.runtime.fleet import (
     FleetRequest,
     FleetScheduler,
@@ -55,6 +53,7 @@ from repro.runtime.remote import (
     reset_remote_clients,
 )
 from repro.runtime.tiers import (
+    DEFAULT_MAX_ENTRIES,
     CacheTelemetry,
     MemoryTier,
     SqliteTier,
@@ -82,7 +81,6 @@ from repro.runtime.schedule import (
     WaveLevel,
     WavePlan,
     plan_wavefronts,
-    run_wavefronts,
     wavefront_supernodes,
 )
 from repro.runtime.signature import (
@@ -98,7 +96,6 @@ from repro.runtime.stats import FailureReport, RuntimeStats
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "CacheTelemetry",
-    "EmissionCache",
     "FleetRequest",
     "FleetScheduler",
     "MemoryTier",
@@ -132,7 +129,6 @@ __all__ = [
     "WaveLevel",
     "WavePlan",
     "plan_wavefronts",
-    "run_wavefronts",
     "wavefront_supernodes",
     "SIGNATURE_VERSION",
     "CanonicalDAG",

@@ -23,14 +23,17 @@ both:
   registers an in-flight *flight* under the job's content signature.  A
   second request hitting the same signature while the first is still
   computing becomes a *follower*: it blocks on the flight and splices
-  the leader's record instead of recomputing (``dedup_hits``).  Records
-  are pure functions of their signature, and followers re-verify what
-  they are handed, so dedup is invisible in the output.  A failed
-  flight — the leader crashed, breached its budget, or ran under fault
-  injection (whose results are never shared) — releases followers to
-  retry *independently* (``dedup_retries``); a poisoned or degraded
-  result is never handed to a waiter.
-* **One store per cache root.**  Tiered stores
+  the leader's record instead of recomputing (``dedup_hits``).  A
+  second supernode of the same signature in one request's wave follows
+  its own request's flight the same way, so each signature is computed
+  (and claimed) once per wave.  Records are pure functions of their
+  signature, and followers re-verify what they are handed, so dedup is
+  invisible in the output.  A failed flight — the leader crashed,
+  breached its budget, or ran under fault injection (whose results are
+  never shared) — releases followers to retry *independently*
+  (``dedup_retries``); a poisoned or degraded result is never handed to
+  a waiter.
+* **One store per cache root.**  Stores
   (:class:`~repro.runtime.tiers.TieredEmissionCache`) are registered
   per resolved ``cache_dir``, so every request sharing a root shares
   the in-process memory tier.
@@ -60,11 +63,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import DDBDDConfig
 from repro.resilience import faults as fault_mod
-from repro.runtime.cache import EmissionCache
 from repro.runtime.emission import EmissionRecord, verify_record
 from repro.runtime.pool import (
     JobOutcome,
@@ -99,10 +101,6 @@ FLIGHT_WAIT_TIMEOUT_S = 300.0
 #: budget.
 CLAIM_POLL_S = 0.02
 CLAIM_REAP_TICKS = 250
-
-#: Either cache backend, or no cache at all.
-CacheStore = Union[TieredEmissionCache, EmissionCache]
-
 
 @dataclass(frozen=True)
 class WaveItem:
@@ -144,7 +142,7 @@ class FleetRequest:
 
     config: DDBDDConfig
     stats: RuntimeStats
-    store: Optional[CacheStore] = None
+    store: Optional[TieredEmissionCache] = None
     tele: Optional[CacheTelemetry] = None
     runner: Optional[JobRunner] = None
     events: List[PoolFailureEvent] = field(default_factory=list)
@@ -201,25 +199,21 @@ class FleetRequest:
         self, key: str, job: Optional[SupernodeJob] = None
     ) -> Optional[EmissionRecord]:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            verify = None
-            name = ""
-            if job is not None:
-                bound_job = job
-                verify = lambda record: self.verify(record, bound_job)  # noqa: E731
-                name = bound_job.name
-            return self.store.get(
-                key, self.tele, promote_disk=self.writable, verify=verify, job=name
-            )
-        return self.store.get(key)
+        verify = None
+        name = ""
+        if job is not None:
+            bound_job = job
+            verify = lambda record: self.verify(record, bound_job)  # noqa: E731
+            name = bound_job.name
+        return self.store.get(
+            key, self.tele, promote_disk=self.writable, verify=verify, job=name
+        )
 
     def store_put(
         self, key: str, record: EmissionRecord, job_name: str = ""
     ) -> bool:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            return self.store.put(key, record, self.tele, job=job_name)
-        return self.store.put(key, record)
+        return self.store.put(key, record, self.tele, job=job_name)
 
     def note_claim(self, event: str, n: int = 1) -> None:
         """Bump one cross-daemon claim counter on the run's stats."""
@@ -227,10 +221,7 @@ class FleetRequest:
 
     def store_invalidate(self, key: str) -> None:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            self.store.invalidate(key, self.tele)
-        else:
-            self.store.invalidate(key)
+        self.store.invalidate(key, self.tele)
 
     def verify(self, record: EmissionRecord, job: SupernodeJob) -> bool:
         return verify_record(record, job.dag, job.polarities, self.config.k)
@@ -253,17 +244,11 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Registration and shared resources
     # ------------------------------------------------------------------
-    def store_for(self, config: DDBDDConfig) -> Optional[CacheStore]:
-        """The cache store this config should use (``None`` = cache off).
-
-        Tiered stores are shared per resolved cache root; legacy stores
-        are per-request (their counters *are* the run's counters, as
-        before the fleet existed).
-        """
+    def store_for(self, config: DDBDDConfig) -> Optional[TieredEmissionCache]:
+        """The cache store this config should use (``None`` = cache off),
+        shared per resolved cache root."""
         if config.cache == "off":
             return None
-        if config.cache_tier == "legacy":
-            return EmissionCache(config.cache_dir, max_entries=config.cache_max_entries)
         root = os.path.abspath(config.cache_dir)
         with self._lock:
             store = self._stores.get(root)
@@ -278,7 +263,7 @@ class FleetScheduler:
                 store.memory.max_entries = max(
                     1, min(DEFAULT_MEMORY_ENTRIES, config.cache_max_entries)
                 )
-            # The tier-4 remote client follows the latest request's
+            # The tier-3 remote client follows the latest request's
             # configuration: attach (or retune) the process-wide client
             # for the configured shard URL, or detach when the request
             # runs local-only.  Clients are registered per URL, so
@@ -299,7 +284,7 @@ class FleetScheduler:
         self,
         config: DDBDDConfig,
         stats: RuntimeStats,
-        store: Optional[CacheStore] = None,
+        store: Optional[TieredEmissionCache] = None,
         tele: Optional[CacheTelemetry] = None,
         runner: Optional[JobRunner] = None,
     ) -> Iterator[FleetRequest]:
@@ -385,15 +370,17 @@ class FleetScheduler:
             if item.key is not None:
                 with self._lock:
                     existing = self._flights.get(item.key)
-                    if existing is not None and req.follows and existing.owner is not req:
-                        existing.followers += 1
-                        follow = existing
-                    elif existing is None:
+                    if existing is None:
                         flight = _Flight(req)
                         self._flights[item.key] = flight
-                    # else: an unfollowable flight exists (fault-armed
-                    # request, or our own earlier duplicate) — compute
-                    # solo without registering a second flight.
+                    elif req.follows:
+                        # Another request's flight, or this wave's own
+                        # earlier copy of the signature: either way the
+                        # key is computed (and claimed) once.
+                        existing.followers += 1
+                        follow = existing
+                    # else: a fault-armed request never follows — it
+                    # computes solo without registering a second flight.
             if follow is not None:
                 followed.append((item, follow))
             else:
@@ -407,7 +394,7 @@ class FleetScheduler:
         leases: Dict[str, int] = {}
         claim_waits: List[Tuple[WaveItem, Optional[_Flight], int]] = []
         if leaders and self._claims_enabled(req):
-            assert isinstance(req.store, TieredEmissionCache)
+            assert req.store is not None
             keyed = [item.key for item, _ in leaders if item.key is not None]
             grants = (
                 req.store.disk.claim_many(keyed, self._claim_owner())
@@ -465,7 +452,7 @@ class FleetScheduler:
             # (puts happen inside _compute_leaders) — and also on any
             # escape, so a dying daemon frees its waiters promptly.
             if leases:
-                assert isinstance(req.store, TieredEmissionCache)
+                assert req.store is not None
                 req.store.disk.release_claims(list(leases.items()))
                 req.note_claim("released", len(leases))
 
@@ -478,16 +465,11 @@ class FleetScheduler:
 
     # ------------------------------------------------------------------
     def _claims_enabled(self, req: FleetRequest) -> bool:
-        """Cross-daemon claims apply to shareable read-write tiered
-        runs: the tier-2 store is the coordination medium, so legacy
-        stores, read-only and cache-off runs are out, as are
-        job-fault-armed runs (whose results are never shareable)."""
-        return (
-            isinstance(req.store, TieredEmissionCache)
-            and req.writable
-            and req.shares
-            and req.config.cache_claims
-        )
+        """Cross-daemon claims apply to shareable read-write runs: the
+        tier-2 store is the coordination medium, so read-only and
+        cache-off runs are out, as are job-fault-armed runs (whose
+        results are never shareable)."""
+        return req.writable and req.shares and req.config.cache_claims
 
     @staticmethod
     def _claim_owner() -> str:
@@ -514,7 +496,7 @@ class FleetScheduler:
         this request registered for the key publishes on exit either
         way, so local followers are never stranded.
         """
-        assert isinstance(req.store, TieredEmissionCache)
+        assert req.store is not None
         assert item.key is not None
         store = req.store
         owner = self._claim_owner()
@@ -791,7 +773,6 @@ def reset_fleet() -> None:
 __all__ = [
     "CLAIM_POLL_S",
     "CLAIM_REAP_TICKS",
-    "CacheStore",
     "FLIGHT_WAIT_TIMEOUT_S",
     "FleetRequest",
     "FleetScheduler",

@@ -3,10 +3,10 @@
 A :class:`SupernodeJob` is a self-contained, picklable description of
 one supernode DP instance: the canonical BDD DAG, the per-canonical-
 variable arrival/polarity profiles and the DP-relevant config knobs.
-:func:`run_supernode_job` — the worker entry point — rebuilds a private
-:class:`~repro.bdd.manager.BDDManager` from the DAG, runs the exact
-serial :class:`~repro.core.dp.BDDSynthesizer` against placeholder leaf
-signals ``v0..v{n-1}``, and exports the resulting cells as an
+:func:`run_supernode_job_guarded` — the worker entry point — rebuilds
+a private :class:`~repro.bdd.manager.BDDManager` from the DAG, runs the
+exact serial :class:`~repro.core.dp.BDDSynthesizer` against placeholder
+leaf signals ``v0..v{n-1}``, and exports the resulting cells as an
 :class:`~repro.runtime.emission.EmissionRecord`.
 
 Determinism: the canonical rebuild preserves the relative support order
@@ -210,11 +210,9 @@ def _execute_job(job: SupernodeJob, meter: Optional[BudgetMeter]) -> EmissionRec
 
 
 def run_supernode_job(job: SupernodeJob) -> EmissionRecord:
-    """Worker entry point: run the DP and export the emission.
-
-    The legacy unguarded path — no budget, no fault injection.  Runs in
-    a worker process (or in-process for serial execution); must touch
-    nothing but the job payload.
+    """Run the DP and export the emission with no budget and no fault
+    injection: the reference record the guarded path must reproduce.
+    Touches nothing but the job payload.
     """
     return _execute_job(job, None)
 
@@ -238,12 +236,6 @@ def run_supernode_job_guarded(job: SupernodeJob) -> JobOutcome:
     except BudgetExceeded as exc:
         return JobOutcome(None, exc.reason, exc.spent_s, exc.spent_nodes)
     return JobOutcome(record)
-
-
-def run_supernode_jobs(jobs: Sequence[SupernodeJob]) -> List[EmissionRecord]:
-    """Run a chunk of jobs in one worker round trip (see chunking notes
-    in the module docstring)."""
-    return [run_supernode_job(job) for job in jobs]
 
 
 def run_supernode_jobs_guarded(jobs: Sequence[SupernodeJob]) -> List[JobOutcome]:
@@ -295,26 +287,6 @@ class JobRunner:
         # The fleet shares one runner across concurrent request threads;
         # pool creation/teardown must not race.
         self._pool_lock = threading.Lock()
-
-    def run_batch(self, batch: Sequence[SupernodeJob]) -> List[EmissionRecord]:
-        """Execute one wavefront's jobs; records in batch order.
-
-        The record-only legacy interface: jobs are expected to complete
-        within budget (callers that attach budgets and a degradation
-        ladder use :meth:`run_batch_outcomes` instead).
-        """
-        outcomes = self.run_batch_outcomes(batch)
-        breached = [
-            f"{batch[i].name} ({o.breach_reason})"
-            for i, o in enumerate(outcomes)
-            if not o.ok
-        ]
-        if breached:
-            raise RuntimeError(
-                "supernode job(s) breached their execution budget with no "
-                f"degradation ladder attached: {', '.join(breached)}"
-            )
-        return [o.record for o in outcomes if o.record is not None]
 
     def run_batch_outcomes(
         self,

@@ -1,4 +1,4 @@
-"""Tier-4 remote cache client: a fault-hardened HTTP shard speaker.
+"""Tier-3 remote cache client: a fault-hardened HTTP shard speaker.
 
 :class:`RemoteClient` talks to the serve daemon's content-addressed
 ``/v1/cache/<sig>`` endpoints (:mod:`repro.serve.app`), turning any

@@ -11,9 +11,8 @@ buffer/inverter chains stay at their source's level).  All supernodes of
 one wavefront are independent given the previous levels' results, so
 each wavefront is dispatched as a batch to the process-wide
 :class:`~repro.runtime.fleet.FleetScheduler` — through the tiered
-content-addressed cache first (:mod:`repro.runtime.tiers`, or the
-legacy :mod:`repro.runtime.cache` store under ``cache_tier="legacy"``),
-then through singleflight dedup against other in-flight requests, and
+content-addressed cache first (:mod:`repro.runtime.tiers`), then
+through singleflight dedup against other in-flight requests, and
 only then to a :class:`~repro.runtime.pool.JobRunner` (the fleet's
 shared pool, or a private one for fault-armed runs).
 Only ``(polarity, depth)`` resolution is tracked in this phase; nothing
@@ -42,13 +41,12 @@ from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork
 from repro.resilience import faults as fault_mod
 from repro.resilience.ladder import resynthesize
-from repro.runtime.cache import EmissionCache
 from repro.runtime.emission import EmissionRecord, replay_record
 from repro.runtime.fleet import WaveItem, get_fleet
 from repro.runtime.pool import JobOutcome, JobRunner, SupernodeJob
 from repro.runtime.signature import CanonicalDAG, export_dag
 from repro.runtime.stats import FailureReport, RuntimeStats
-from repro.runtime.tiers import CacheTelemetry, TieredEmissionCache
+from repro.runtime.tiers import CacheTelemetry
 
 KIND_CONST = "const"
 KIND_LITERAL = "literal"
@@ -150,45 +148,6 @@ def plan_wavefronts(work: BooleanNetwork) -> WavePlan:
     return WavePlan(order=order, kind=kind, level_of=level_of, levels=levels)
 
 
-def run_wavefronts(
-    work: BooleanNetwork,
-    mapped: BooleanNetwork,
-    config: DDBDDConfig,
-    verifier: StageVerifier,
-    resolve: Dict[str, Tuple[str, bool, int]],
-    external: Set[str],
-    stats: RuntimeStats,
-) -> List[SupernodeResult]:
-    """Synthesize all supernodes of ``work`` into ``mapped`` through the
-    :class:`repro.flow.Pipeline` runner.
-
-    Compatibility entrypoint for callers that hold the supernode-stage
-    state directly: it wraps the arguments into a
-    :class:`~repro.flow.state.FlowState` and drives a one-pass pipeline
-    whose ``synth`` pass (``engine=wavefront``) executes
-    :func:`wavefront_supernodes` — so the per-pass telemetry and
-    boundary contracts match :func:`repro.flow.run_flow` exactly.
-    Mutates ``resolve`` / ``external`` exactly as the serial loop would
-    and returns the :class:`~repro.core.dp.SupernodeResult` list in
-    serial order.
-    """
-    # Deferred import: repro.flow's synth pass imports this module.
-    from repro.flow import FlowState, build_pipeline
-
-    state = FlowState(
-        source=work,
-        config=config,
-        verifier=verifier,
-        stats=stats,
-        work=work,
-        mapped=mapped,
-        resolve=resolve,
-        external=external,
-    )
-    build_pipeline("synth(engine=wavefront)").run(state)
-    return state.supernode_results
-
-
 def _recover_breach(
     job: SupernodeJob, outcome: JobOutcome, stats: RuntimeStats
 ) -> EmissionRecord:
@@ -216,8 +175,8 @@ def wavefront_supernodes(
     external: Set[str],
     stats: RuntimeStats,
 ) -> List[SupernodeResult]:
-    """The phase A/B wavefront engine (the ``synth`` pass's
-    ``engine=wavefront`` body).
+    """The phase A/B wavefront engine (the ``synth`` pass runs it unless
+    the serial loop is exactly equivalent and cheaper).
 
     Drop-in replacement for the serial supernode loop
     (:func:`repro.core.ddbdd.serial_supernodes`); mutates ``resolve`` /
@@ -229,13 +188,10 @@ def wavefront_supernodes(
         if wave.jobs:
             stats.wavefront_widths.append(len(wave.jobs))
     fleet = get_fleet()
-    # The fleet owns the cache store: tiered stores are shared per cache
-    # root (one in-process memory tier for every request hitting it);
-    # legacy stores are per-run, exactly as before the fleet existed.
+    # The fleet owns the cache store: one per cache root, so every
+    # request hitting a root shares its in-process memory tier.
     store = fleet.store_for(config)
-    tele: Optional[CacheTelemetry] = None
-    if store is not None and config.cache_tier == "tiered":
-        tele = CacheTelemetry()
+    tele = CacheTelemetry() if store is not None else None
 
     # Degenerate deployment: the pool is clamped to one worker (fewer
     # CPUs than jobs) and no cache is in play.  The DAG-export / job /
@@ -343,20 +299,17 @@ def wavefront_supernodes(
         finally:
             if private_runner is not None:
                 private_runner.close()
-    if tele is not None:
+    if store is not None and tele is not None:
         stats.cache_tiers = tele.as_dict()
         stats.cache_corruptions += tele.total("corruptions")
         stats.cache_evictions += tele.total("evictions")
         stats.failures.extend(tele.failures)
-        if isinstance(store, TieredEmissionCache) and store.remote is not None:
+        if store.remote is not None:
             stats.remote = {
                 "url": store.remote.url,
                 "ops": dict(tele.remote),
                 "breaker": store.remote.breaker_states(),
             }
-    elif isinstance(store, EmissionCache):
-        stats.cache_corruptions += store.corruptions
-        stats.cache_evictions += store.evictions
 
     # Phase B: splice in the serial topological order.
     supernode_results: List[SupernodeResult] = []

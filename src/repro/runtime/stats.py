@@ -49,7 +49,12 @@ from repro._version import __version__
 #: ``released``; ``{}`` when claims never engaged), and ``failures``
 #: may now carry ``kind="remote"`` rows (remote-tier faults recovered
 #: by degrading to local tiers).
-STATS_SCHEMA = 3
+#:
+#: Schema 4 (legacy shard tier removed): ``cache_tiers`` lost its
+#: ``"shards"`` tier, leaving ``memory``, ``sqlite`` and ``remote``.
+#: ``dedup_hits`` also counts a supernode that followed an earlier copy
+#: of its signature in the same request's wave.
+STATS_SCHEMA = 4
 
 #: The stable top-level key set of :meth:`RuntimeStats.as_dict`.
 #: Consumers may rely on these keys existing with these meanings for as
@@ -288,11 +293,12 @@ class RuntimeStats:
         ``{tier: {op: count}}`` over the
         :data:`~repro.runtime.tiers.TIER_NAMES` /
         :data:`~repro.runtime.tiers.TIER_OPS` vocabularies.  Empty for
-        legacy (``cache_tier="legacy"``) and cache-off runs.
+        cache-off runs.
     dedup_hits:
         Supernode computations this run *did not* execute because the
-        fleet's singleflight layer let it splice another in-flight
-        request's verified result.
+        fleet's singleflight layer let it splice a verified result in
+        flight: another request's, or that of an earlier supernode with
+        the same signature in this run's own wavefront.
     dedup_retries:
         Singleflight waits that ended in a failed or unshareable flight,
         forcing this run to recompute independently.
@@ -308,7 +314,7 @@ class RuntimeStats:
         another daemon), ``hits`` (records spliced from a foreign
         daemon's compute), ``reaped`` (stale leases taken over),
         ``released`` (leases returned).  Empty when claims never
-        engaged (cache off/read-only/legacy, or claims disabled).
+        engaged (cache off or read-only, or claims disabled).
     failures:
         One :class:`FailureReport` row per recovered runtime failure
         (budget breaches resynthesized via the degradation ladder,

@@ -1,8 +1,8 @@
-"""Three-tier content-addressed store for supernode emission records.
+"""Tiered content-addressed store for supernode emission records.
 
 The fleet scheduler (:mod:`repro.runtime.fleet`) serves many concurrent
-synthesis requests from one process, so the flat sharded-JSON store of
-:mod:`repro.runtime.cache` grows a stack of tiers behind one interface:
+synthesis requests from one process, so the emission cache is a stack
+of tiers behind one interface:
 
 * **Tier 1 — memory** (:class:`MemoryTier`): a bounded in-process LRU
   (:class:`~repro.utils.BoundedMemo`-style cap) of verified
@@ -13,12 +13,7 @@ synthesis requests from one process, so the flat sharded-JSON store of
   WAL-mode sqlite file per cache root.  Every write is a transaction, so
   two daemons sharing a ``--cache-dir`` cannot tear or double-apply an
   entry; reads bump a ``touched`` column for LRU eviction.
-* **Tier 3 — shards**: the legacy ``v1/ab/<sha>.json`` shard directory
-  (:class:`~repro.runtime.cache.EmissionCache` format), kept as a
-  *read-compatible migration path*: tiered runs never write it, but a
-  hit there is promoted into tiers 2 and 1 so an old cache directory
-  warms the new store on first contact.
-* **Tier 4 — remote** (:class:`~repro.runtime.remote.RemoteClient`,
+* **Tier 3 — remote** (:class:`~repro.runtime.remote.RemoteClient`,
   attached via :attr:`TieredEmissionCache.remote`): a fault-hardened
   HTTP shard behind ``/v1/cache/<sig>`` on a serve daemon.  Walked
   last on reads — and only when the caller supplies a ``verify``
@@ -31,8 +26,8 @@ synthesis requests from one process, so the flat sharded-JSON store of
   ``kind="remote"`` :class:`~repro.runtime.stats.FailureReport` rows and
   telemetry counters, never as errors.
 
-:meth:`TieredEmissionCache.get` walks memory → sqlite → shards → remote
-and promotes hits upward; :meth:`TieredEmissionCache.put` writes sqlite
+:meth:`TieredEmissionCache.get` walks memory → sqlite → remote and
+promotes hits upward; :meth:`TieredEmissionCache.put` writes sqlite
 first (the durable copy), then memory, then the remote fan-out.
 Per-tier hit/miss/put/eviction/corruption/promotion counters are
 recorded both on the tiers themselves (process-lifetime, for
@@ -46,11 +41,11 @@ leases (see :meth:`SqliteTier.claim_many`), so two daemons sharing a
 cache root compute each signature once fleet-wide, and a daemon that
 dies mid-flight is reaped by a waiter on a deterministic tick budget.
 
-Every operation stays best-effort like the legacy store: corruption —
-a malformed sqlite payload, an unreadable shard, even a damaged sqlite
-file — degrades to a miss, heals the offending entry (or file) and
-bumps the tier's corruption counter.  A broken cache must never break
-synthesis.
+Every operation is best-effort: corruption — a malformed sqlite
+payload, even a damaged sqlite file — degrades to a miss, heals the
+offending row (or file) and bumps the tier's corruption counter; a
+lock held past the busy timeout is a miss or a dropped put, never
+damage.  A broken cache must never break synthesis.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import faults as fault_mod
-from repro.runtime.cache import DEFAULT_MAX_ENTRIES, EmissionCache
 from repro.runtime.emission import EmissionRecord, RecordError
 from repro.runtime.remote import (
     FAULT_BREAKER_OPEN,
@@ -82,9 +76,8 @@ logger = logging.getLogger(__name__)
 #: ``tier`` label of the ``ddbdd_cache_tier_ops_total`` metric family).
 TIER_MEMORY = "memory"
 TIER_SQLITE = "sqlite"
-TIER_SHARDS = "shards"
 TIER_REMOTE = "remote"
-TIER_NAMES = (TIER_MEMORY, TIER_SQLITE, TIER_SHARDS, TIER_REMOTE)
+TIER_NAMES = (TIER_MEMORY, TIER_SQLITE, TIER_REMOTE)
 
 #: Stable per-tier counter names.
 TIER_OPS = ("hits", "misses", "puts", "evictions", "corruptions", "promotions")
@@ -105,17 +98,43 @@ REMOTE_OP_KEYS = (
     "trips",
 )
 
+#: Default entry cap of the persistent store; at a few KB per record
+#: this bounds it to tens of MB.
+DEFAULT_MAX_ENTRIES = 8192
+
 #: Default entry cap of the in-process memory tier; records are a few
 #: KB, so this bounds tier 1 to single-digit MB per cache root.
 DEFAULT_MEMORY_ENTRIES = 2048
 
-#: Enforce the sqlite LRU cap once per this many puts (same amortized
-#: cadence as the legacy shard store).
+#: Enforce the sqlite LRU cap once per this many puts (amortizes the
+#: count query).
 _EVICT_EVERY = 64
 
 #: How long a sqlite operation waits on another process's write lock
 #: before giving up (degrading to a miss / dropped put).
 _BUSY_TIMEOUT_MS = 5000
+
+#: Primary result codes of a damaged database file: ``SQLITE_CORRUPT``
+#: and ``SQLITE_NOTADB``.
+_DAMAGE_CODES = (11, 26)
+
+#: The messages sqlite gives those codes; Python before 3.11 exposes
+#: only the message, not ``sqlite_errorcode``.
+_DAMAGE_MESSAGES = (
+    "database disk image is malformed",
+    "file is not a database",
+    "file is encrypted or is not a database",
+)
+
+
+def _is_damage(exc: sqlite3.Error) -> bool:
+    """Whether ``exc`` reports a damaged database file, as opposed to a
+    lock held past the busy timeout or another passing failure."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    if code is not None:
+        return (code & 0xFF) in _DAMAGE_CODES
+    message = str(exc).lower()
+    return any(text in message for text in _DAMAGE_MESSAGES)
 
 
 class CacheTelemetry:
@@ -251,23 +270,27 @@ class MemoryTier:
 class SqliteTier:
     """Tier 2: the persistent cross-process-safe store (sqlite, WAL).
 
-    One database file per cache root, ``v{SIGNATURE_VERSION}.sqlite``
-    next to the legacy shard tree — a signature-format bump strands old
-    entries instead of corrupting new runs, exactly like the shard
-    layout's version directory.
+    One database file per cache root, ``v{SIGNATURE_VERSION}.sqlite`` —
+    a signature-format bump strands old entries instead of corrupting
+    new runs.
 
     Durability model: every write is one sqlite transaction (WAL
     journal), so concurrent writers — including separate daemon
     processes sharing the directory — serialize through sqlite's file
     locks and an interrupted writer can never leave a half-written row.
     Connections are opened per operation: nothing is shared across
-    ``fork`` and no file descriptor outlives the call.
+    ``fork`` and no file descriptor outlives the call.  The WAL journal
+    mode and the tables are set up once per store and database file,
+    not on every connection.
 
     Reads bump a ``touched`` column so :meth:`evict_to_cap` (amortized,
     every :data:`_EVICT_EVERY` puts) drops the least recently *used*
     rows.  A malformed payload is deleted and counted as a corruption;
-    a damaged database file is unlinked wholesale (with its WAL
-    side-files) so the slot heals on the next put.
+    a damaged database file (``SQLITE_CORRUPT``, ``SQLITE_NOTADB``) is
+    unlinked wholesale (with its WAL side-files) so the slot heals on
+    the next put.  Any other sqlite error — a lock held past the busy
+    timeout above all — is a miss or a dropped put and leaves the file
+    alone.
     """
 
     def __init__(
@@ -280,6 +303,9 @@ class SqliteTier:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._puts_since_evict = 0
+        #: Whether the current database file has its WAL journal mode
+        #: and tables (reset when the file is missing or healed).
+        self._ready = False
         self.hits = 0
         self.misses = 0
         self.puts = 0
@@ -290,38 +316,50 @@ class SqliteTier:
     def _connect(self, create: bool) -> Optional[sqlite3.Connection]:
         """A fresh connection, or ``None`` when the store does not exist
         and ``create`` is false (read mode must not materialize files)."""
-        if not create and not self.path.exists():
-            return None
-        if create:
+        if not self.path.exists():
+            if not create:
+                return None
             self.root.mkdir(parents=True, exist_ok=True)
+            self._ready = False
         conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_MS / 1000.0)
-        conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS records ("
-            "key TEXT PRIMARY KEY, payload TEXT NOT NULL, touched REAL NOT NULL)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS claims ("
-            "key TEXT PRIMARY KEY, owner TEXT NOT NULL, "
-            "generation INTEGER NOT NULL, waits INTEGER NOT NULL DEFAULT 0)"
-        )
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS claim_gen ("
-            "id INTEGER PRIMARY KEY CHECK (id = 1), gen INTEGER NOT NULL)"
-        )
+        try:
+            conn.execute("PRAGMA synchronous=NORMAL")
+            if not self._ready:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS records ("
+                    "key TEXT PRIMARY KEY, payload TEXT NOT NULL, touched REAL NOT NULL)"
+                )
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS claims ("
+                    "key TEXT PRIMARY KEY, owner TEXT NOT NULL, "
+                    "generation INTEGER NOT NULL, waits INTEGER NOT NULL DEFAULT 0)"
+                )
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS claim_gen ("
+                    "id INTEGER PRIMARY KEY CHECK (id = 1), gen INTEGER NOT NULL)"
+                )
+                self._ready = True
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
-    def _heal(self) -> None:
-        """Drop a damaged database file (and WAL side-files) wholesale."""
+    def _heal(self, exc: sqlite3.Error) -> int:
+        """Drop the database file (and WAL side-files) wholesale if
+        ``exc`` reports damage; returns the corruptions observed (0 for
+        a lock or any other passing error, which leaves the file be)."""
+        if not _is_damage(exc):
+            return 0
         self.corruptions += 1
+        self._ready = False
         logger.debug("unlinking damaged sqlite cache %s", self.path)
         for suffix in ("", "-wal", "-shm"):
             try:
                 Path(str(self.path) + suffix).unlink()
             except OSError:
                 pass
+        return 1
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Tuple[Optional[EmissionRecord], int]:
@@ -355,10 +393,9 @@ class SqliteTier:
                     )
                 self.hits += 1
                 return record, 0
-            except sqlite3.Error:
-                self._heal()
+            except sqlite3.Error as exc:
                 self.misses += 1
-                return None, 1
+                return None, self._heal(exc)
             finally:
                 if conn is not None:
                     conn.close()
@@ -367,9 +404,8 @@ class SqliteTier:
         """Store a record; returns ``(stored, torn, evicted)``.
 
         ``torn`` reports an injected ``corrupt_shard@put=N`` fault: the
-        committed row was overwritten with garbage after the fact (the
-        tier-2 analogue of the legacy store's truncated shard), and the
-        next read must detect and heal it.
+        committed row was overwritten with garbage after the fact, and
+        the next read must detect and heal it.
         """
         with self._lock:
             conn: Optional[sqlite3.Connection] = None
@@ -414,8 +450,8 @@ class SqliteTier:
                     return
                 with conn:
                     conn.execute("DELETE FROM records WHERE key = ?", (key,))
-            except sqlite3.Error:
-                self._heal()
+            except sqlite3.Error as exc:
+                self._heal(exc)
             finally:
                 if conn is not None:
                     conn.close()
@@ -443,8 +479,8 @@ class SqliteTier:
                 )
             self.evictions += excess
             return excess
-        except sqlite3.Error:
-            self._heal()
+        except sqlite3.Error as exc:
+            self._heal(exc)
             return 0
         finally:
             if conn is not None:
@@ -650,8 +686,8 @@ class SqliteTier:
                     return []
                 rows = conn.execute("SELECT key FROM records ORDER BY key").fetchall()
                 return [r[0] for r in rows]
-            except sqlite3.Error:
-                self._heal()
+            except sqlite3.Error as exc:
+                self._heal(exc)
                 return []
             finally:
                 if conn is not None:
@@ -662,7 +698,7 @@ class SqliteTier:
 
 
 class TieredEmissionCache:
-    """The three tiers behind one interface (see module docstring).
+    """The tiers behind one interface (see module docstring).
 
     One instance per cache root, shared process-wide via the fleet's
     store registry — tier 1 is only useful if every request hitting the
@@ -679,35 +715,9 @@ class TieredEmissionCache:
         self.root = Path(root)
         self.memory = MemoryTier(min(memory_entries, max_entries))
         self.disk = SqliteTier(root, max_entries=max_entries)
-        #: Legacy shard layout, used read-only (tier 3 migration path).
-        self.shards = EmissionCache(root, max_entries=max_entries)
-        #: Optional tier-4 remote shard client (attached by the fleet's
+        #: Optional tier-3 remote shard client (attached by the fleet's
         #: store registry when a run configures ``--cache-remote``).
         self.remote = remote
-
-    # ------------------------------------------------------------------
-    def _shards_get(self, key: str) -> Tuple[Optional[EmissionRecord], int]:
-        """Read-only tier-3 lookup: ``(record_or_None, corruptions)``.
-
-        Bypasses :class:`EmissionCache`'s own counters (which belong to
-        legacy-mode runs) but keeps its healing behaviour: a malformed
-        shard is unlinked so the slot cannot mis-serve again.
-        """
-        path = self.shards.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None, 0
-        try:
-            record = EmissionRecord.from_json_obj(json.loads(raw))
-        except (ValueError, RecordError):
-            logger.debug("unlinking corrupted legacy shard %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None, 1
-        return record, 0
 
     # ------------------------------------------------------------------
     def get(
@@ -718,11 +728,11 @@ class TieredEmissionCache:
         verify: Optional[Callable[[EmissionRecord], bool]] = None,
         job: str = "",
     ) -> Optional[EmissionRecord]:
-        """Walk memory → sqlite → shards → remote; promote hits upward.
+        """Walk memory → sqlite → remote; promote hits upward.
 
-        ``promote_disk`` gates the shards→sqlite promotion write —
+        ``promote_disk`` gates the remote→sqlite promotion write —
         read-mode runs (``cache="read"``) must never create files, so
-        they promote disk hits into memory only.
+        they promote remote hits into memory only.
 
         The remote tier is walked only when a ``verify`` callback is
         supplied: a record fetched over the network must pass the
@@ -753,25 +763,6 @@ class TieredEmissionCache:
             return record
         if tele:
             tele.note(TIER_SQLITE, "misses")
-
-        record, corrupt = self._shards_get(key)
-        if tele:
-            tele.note(TIER_SHARDS, "corruptions", corrupt)
-        if record is not None:
-            if tele:
-                tele.note(TIER_SHARDS, "hits")
-            if promote_disk:
-                _, _, evicted = self.disk.put(key, record)
-                if tele:
-                    tele.note(TIER_SQLITE, "promotions")
-                    tele.note(TIER_SQLITE, "evictions", evicted)
-            evicted = self.memory.put(key, record)
-            if tele:
-                tele.note(TIER_MEMORY, "promotions")
-                tele.note(TIER_MEMORY, "evictions", evicted)
-            return record
-        if tele:
-            tele.note(TIER_SHARDS, "misses")
 
         if self.remote is not None and verify is not None:
             result = self.remote.get(key)
@@ -856,11 +847,11 @@ class TieredEmissionCache:
         del tele  # reserved: invalidations are visible via cache_rejected
         self.memory.invalidate(key)
         self.disk.invalidate(key)
-        self.shards.invalidate(key)
 
 
 __all__ = [
     "CacheTelemetry",
+    "DEFAULT_MAX_ENTRIES",
     "DEFAULT_MEMORY_ENTRIES",
     "MemoryTier",
     "REMOTE_OP_KEYS",
@@ -870,6 +861,5 @@ __all__ = [
     "TIER_NAMES",
     "TIER_OPS",
     "TIER_REMOTE",
-    "TIER_SHARDS",
     "TIER_SQLITE",
 ]

@@ -29,7 +29,7 @@ Endpoints (all JSON; see :mod:`repro.serve.protocol` for the bodies):
                          Prometheus text with ``?format=prometheus``
 =======================  ====================================================
 
-The cache endpoints make any daemon a **remote shard** for the tier-4
+The cache endpoints make any daemon a **remote shard** for the tier-3
 client of :mod:`repro.runtime.remote`: a warm box's cache feeds a fleet
 of cold ones.  The serving store never chains to another remote (its
 ``remote`` slot stays ``None``), so shard topologies cannot loop.

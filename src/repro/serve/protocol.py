@@ -47,7 +47,6 @@ CONFIG_ALLOWLIST = (
     "cache",
     "cache_dir",
     "cache_max_entries",
-    "cache_tier",
     "cache_remote",
     "remote_deadline_s",
     "remote_retries",

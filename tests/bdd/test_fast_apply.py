@@ -1,22 +1,24 @@
 """Equivalence of the fast apply paths with a reference ITE-only engine.
 
 The hot-path rewrite gave :class:`BDDManager` dedicated binary
-recursions (``apply_and``/``apply_or``/``apply_xor``/``apply_xnor``),
-ITE standard-triple normalization, and an explicit-stack engine
-(``iterative=True``).  All of them are pure speed: in a hash-consed
-manager, canonical node ids *are* function identity, so every path must
-return the exact id the generic 3-operand ITE recursion would.  These
-tests pin that contract with random expressions, plus the end-to-end
-Table-I golden regression that proves the optimized kernel changes no
-synthesized circuit.
+recursions (``apply_and``/``apply_or``/``apply_xor``/``apply_xnor``)
+and ITE standard-triple normalization.  All of them are pure speed: in
+a hash-consed manager, canonical node ids *are* function identity, so
+every path must return the exact id the generic 3-operand ITE recursion
+would.  These tests pin that contract with random expressions, plus the
+end-to-end Table-I golden regression that proves the optimized kernel
+changes no synthesized circuit.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
+from repro.utils import recursion_headroom
 
 N_VARS = 5
 
@@ -149,34 +151,35 @@ def test_normalized_ite_matches_reference(expr, g_expr, h_expr):
     assert mgr.ite(f, g, h) == reference_ite(mgr, f, g, h)
 
 
-@settings(max_examples=120, deadline=None)
-@given(expr=_expr)
-def test_iterative_engine_bit_identical(expr):
-    """Replaying one construction sequence in a recursive and an
-    explicit-stack manager yields the same id at every step — the two
-    engines allocate nodes in the same order."""
-    rec = BDDManager(N_VARS)
-    it = BDDManager(N_VARS, iterative=True)
-    assert build(rec, expr) == build(it, expr)
-    # The managers are structurally interchangeable afterwards.
-    assert rec.num_nodes == it.num_nodes
-
-
-def test_iterative_engine_handles_deep_chains():
-    """The explicit-stack engine exists for BDDs past the recursion
-    limit; operators over a 1500-variable conjunction chain must not
-    blow the stack.  (Built bottom-up so each step only adds the new
-    top node instead of re-walking the chain.)"""
+def test_deep_chains_run_inside_recursion_headroom():
+    """The operators recurse once per BDD level.  A 1500-variable chain
+    is deeper than the interpreter's default limit of 1000 frames, so
+    callers wrap such work in ``recursion_headroom``, as the DP does.
+    (Chains are built bottom-up, so each step only adds a top node.)"""
     n = 1500
-    mgr = BDDManager(n, iterative=True)
-    f = mgr.var(n - 1)
-    for v in range(n - 2, -1, -1):
-        f = mgr.apply_and(mgr.var(v), f)
-    assert mgr.count_nodes(f) == n + 2  # one per variable + 2 terminals
-    g = mgr.negate(f)  # walks all n levels
-    assert mgr.apply_or(f, g) == mgr.ONE
-    assert mgr.apply_xor(f, g) == mgr.ONE
-    assert mgr.apply_xnor(f, f) == mgr.ONE
+
+    def chain(bottom: int) -> int:
+        f = bottom
+        for v in range(n - 2, -1, -1):
+            f = mgr.apply_and(mgr.var(v), f)
+        return f
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        mgr = BDDManager(n)
+        with recursion_headroom(4 * n):
+            f = chain(mgr.var(n - 1))
+            g = chain(mgr.nvar(n - 1))
+            prefix = chain(mgr.ONE)
+            assert mgr.count_nodes(f) == n + 2  # one per variable + 2 terminals
+            # Each of these walks both chains down to the bottom level.
+            assert mgr.apply_and(f, g) == mgr.ZERO
+            assert mgr.apply_or(f, g) == prefix
+            assert mgr.apply_xor(f, g) == prefix
+            assert mgr.ite(mgr.var(n - 1), f, g) == prefix
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_cache_stats_observe_hits():

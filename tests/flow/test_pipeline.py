@@ -56,7 +56,7 @@ def test_config_flow_override_equals_collapse_ablation():
 def test_synth_pass_options_do_not_change_output():
     net = build_circuit("misex1")
     base = run_flow(net, DDBDDConfig())
-    forced = run_flow(net, DDBDDConfig(flow="sweep;collapse;synth(engine=wavefront,jobs=2);map"))
+    forced = run_flow(net, DDBDDConfig(flow="sweep;collapse;synth(jobs=2);map"))
     assert (forced.depth, forced.area) == (base.depth, base.area)
     assert net_dump(forced.network) == net_dump(base.network)
 

@@ -33,13 +33,14 @@ def _jobs(n: int, num_vars: int = 6, **over) -> list:
 # ----------------------------------------------------------------------
 # JobRunner unit behaviour
 # ----------------------------------------------------------------------
-def test_run_batch_refuses_unladdered_breach():
-    # Satellite (a): a breach with no ladder attached is a hard error,
-    # not a silent assert that vanishes under ``python -O``.
+def test_run_batch_outcomes_reports_breach():
+    # A budget breach comes back as a clean outcome for the caller's
+    # degradation ladder: no record, and the reason it stopped.
     runner = JobRunner(1)
     jobs = _jobs(1, job_node_budget=1)
-    with pytest.raises(RuntimeError, match="degradation ladder"):
-        runner.run_batch(jobs)
+    (outcome,) = runner.run_batch_outcomes(jobs)
+    assert not outcome.ok
+    assert outcome.breach_reason == "nodes"
 
 
 def test_inline_retries_transient_raise():

@@ -7,10 +7,10 @@ import json
 import sqlite3
 
 from repro.core import DDBDDConfig, ddbdd_synthesize
-from repro.runtime.cache import EmissionCache
 from repro.runtime.emission import EmissionCell, EmissionRecord
 from repro.runtime.fleet import reset_fleet
 from repro.runtime.signature import SIGNATURE_VERSION
+from repro.runtime.tiers import CacheTelemetry, SqliteTier, TieredEmissionCache
 from tests.conftest import assert_equivalent, random_gate_network
 from tests.runtime.helpers import net_dump
 
@@ -76,7 +76,6 @@ def test_read_mode_never_writes(tmp_path):
     result = ddbdd_synthesize(net, DDBDDConfig(cache="read", cache_dir=str(tmp_path)))
     assert result.runtime_stats.cache_hits == 0
     assert result.runtime_stats.cache_puts == 0
-    assert len(EmissionCache(tmp_path)) == 0
     # Read mode must not even materialize the tier-2 database file.
     assert not (tmp_path / f"v{SIGNATURE_VERSION}.sqlite").exists()
 
@@ -107,28 +106,34 @@ def test_corrupted_tier2_rows_recover(tmp_path):
     assert warm.runtime_stats.cache_misses == 0
 
 
-def test_corrupted_shards_recover_legacy(tmp_path):
-    # The legacy sharded-JSON stack stays fully supported behind
-    # ``cache_tier=legacy`` — same corruption-healing contract as ever.
-    net = random_gate_network(8, n_pi=10, n_gates=50, n_po=5)
+def test_old_shard_tree_is_a_miss_and_left_alone(tmp_path):
+    """A cache root from before the sqlite store holds one JSON file per
+    record under ``v1/ab/<sha>.json``.  Keys are content-addressed, so
+    such a tree only reads as misses: it is neither served nor touched."""
+    net = random_gate_network(12, n_pi=10, n_gates=50, n_po=5)
     serial = ddbdd_synthesize(net, DDBDDConfig())
-    def cfg() -> DDBDDConfig:
-        return DDBDDConfig(
-            cache="readwrite", cache_dir=str(tmp_path), cache_tier="legacy"
-        )
-    ddbdd_synthesize(net, cfg())
-    cache = EmissionCache(tmp_path)
-    entries = cache.entries()
-    assert entries
-    for path in entries:
-        path.write_text("{ not json", encoding="utf-8")
-    redo = ddbdd_synthesize(net, cfg())
-    assert net_dump(redo.network) == net_dump(serial.network)
-    assert redo.runtime_stats.cache_hits == 0
-    assert redo.runtime_stats.cache_misses == len(entries)
-    assert redo.runtime_stats.cache_corruptions == len(entries)
-    warm = ddbdd_synthesize(net, cfg())
-    assert warm.runtime_stats.cache_misses == 0
+    first = ddbdd_synthesize(
+        net, DDBDDConfig(cache="readwrite", cache_dir=str(tmp_path / "first"))
+    )
+    old_root = tmp_path / "old"
+    shards = []
+    for key, payload in _sqlite_rows(tmp_path / "first"):
+        path = old_root / f"v{SIGNATURE_VERSION}" / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(payload, encoding="utf-8")
+        shards.append((path, payload, path.stat().st_mtime_ns))
+    assert shards
+    reset_fleet()
+    result = ddbdd_synthesize(
+        net, DDBDDConfig(cache="readwrite", cache_dir=str(old_root))
+    )
+    assert net_dump(result.network) == net_dump(serial.network)
+    assert result.runtime_stats.cache_hits == 0
+    assert result.runtime_stats.cache_misses == first.runtime_stats.cache_misses
+    assert set(result.runtime_stats.cache_tiers) == {"memory", "sqlite", "remote"}
+    for path, payload, mtime in shards:
+        assert path.read_text(encoding="utf-8") == payload
+        assert path.stat().st_mtime_ns == mtime
 
 
 def test_poisoned_record_rejected_by_verification(tmp_path):
@@ -161,122 +166,91 @@ def test_poisoned_record_rejected_by_verification(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# EmissionCache unit behaviour
+# Store unit behaviour
 # ----------------------------------------------------------------------
 def test_cache_roundtrip_and_counters(tmp_path):
-    cache = EmissionCache(tmp_path)
+    store = TieredEmissionCache(tmp_path)
+    tele = CacheTelemetry()
     key = "ab" + "0" * 62
-    assert cache.get(key) is None
-    assert cache.misses == 1
-    assert cache.put(key, _record())
-    got = cache.get(key)
-    assert got == _record()
-    assert (cache.hits, cache.puts) == (1, 1)
-    assert cache.path_for(key).parent.name == "ab"
-    cache.invalidate(key)
-    assert cache.get(key) is None
+    assert store.get(key, tele) is None
+    assert store.put(key, _record(), tele)
+    assert store.get(key, tele) == _record()
+    assert (tele.tiers["memory"]["misses"], tele.tiers["sqlite"]["misses"]) == (1, 1)
+    assert (tele.tiers["memory"]["puts"], tele.tiers["sqlite"]["puts"]) == (1, 1)
+    assert tele.tiers["memory"]["hits"] == 1
+    store.invalidate(key)
+    assert store.get(key) is None
 
 
 def test_cache_lru_eviction(tmp_path):
-    import os
-    import time as _time
-
-    cache = EmissionCache(tmp_path, max_entries=5)
-    keys = [f"{i:02x}" + f"{i:060x}" for i in range(12)]
+    store = TieredEmissionCache(tmp_path, max_entries=5)
+    keys = [f"{i:02x}" + f"{i:062x}" for i in range(12)]
     for i, key in enumerate(keys):
-        assert cache.put(key, _record(i))
-        # Distinct mtimes so the LRU order is well defined.
-        os.utime(cache.path_for(key), (i, i))
-    assert cache.evict_to_cap() >= 1
-    assert len(cache) == 5
-    # The survivors are the most recently touched keys.
-    survivors = {p.stem for p in cache.entries()}
-    assert survivors == set(keys[-5:])
-    _time.sleep(0)
+        assert store.put(key, _record(i))
+    assert store.disk.evict_to_cap() == 7
+    assert (len(store.disk), len(store.memory)) == (5, 5)
+    # Both tiers keep the most recently put keys.
+    assert store.disk.keys() == keys[-5:]
+    assert all(store.memory.get(key) is not None for key in keys[-5:])
 
 
 def test_cache_garbage_payload_is_a_miss(tmp_path):
-    cache = EmissionCache(tmp_path)
+    tier = SqliteTier(tmp_path)
     key = "cd" + "0" * 62
-    path = cache.path_for(key)
-    path.parent.mkdir(parents=True)
-    path.write_text(json.dumps({"cells": [[["q9"], "01"]], "out": ["c0", 0, 1], "stats": [0, 0, 1]}))
-    assert cache.get(key) is None
-    assert not path.exists(), "structurally invalid record must be unlinked"
-    assert cache.corruptions == 1
-    assert cache.misses == 1
+    assert tier.put(key, _record())[0]
+    garbage = {"cells": [[["q9"], "01"]], "out": ["c0", 0, 1], "stats": [0, 0, 1]}
+    _sqlite_set_payload(tmp_path, key, json.dumps(garbage))
+    assert tier.get(key) == (None, 1)
+    assert tier.keys() == [], "a structurally invalid record must be deleted"
+    assert (tier.corruptions, tier.misses) == (1, 1)
 
 
 def test_cache_corruptions_counter_accumulates(tmp_path):
-    cache = EmissionCache(tmp_path)
+    tier = SqliteTier(tmp_path)
     keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
     for key in keys:
-        assert cache.put(key, _record())
-        cache.path_for(key).write_text('{"cells": [[', encoding="utf-8")
-    assert all(cache.get(key) is None for key in keys)
-    assert cache.corruptions == 3
+        assert tier.put(key, _record())[0]
+        _sqlite_set_payload(tmp_path, key, '{"cells": [[')
+    assert all(tier.get(key) == (None, 1) for key in keys)
+    assert tier.corruptions == 3
     # The slots healed: a fresh put + get round-trips again.
-    assert cache.put(keys[0], _record())
-    assert cache.get(keys[0]) == _record()
-    assert cache.corruptions == 3
+    assert tier.put(keys[0], _record())[0]
+    assert tier.get(keys[0]) == (_record(), 0)
+    assert tier.corruptions == 3
 
 
-# ----------------------------------------------------------------------
-# Concurrency: eviction and listing racing puts/unlinks (satellite c)
-# ----------------------------------------------------------------------
-def test_evict_survives_racing_deleter(tmp_path, monkeypatch):
-    # Deterministic re-enactment of the race: another process unlinks
-    # entries after evict_to_cap has listed them — both the stat() for
-    # the LRU sort and the final unlink must hit missing files without
-    # raising, and the cap must still be met.
-    cache = EmissionCache(tmp_path, max_entries=2)
-    keys = [f"{i:02x}" + f"{i:060x}" for i in range(8)]
-    for i, key in enumerate(keys):
-        assert cache.put(key, _record(i))
-
-    real_entries = cache.entries
-    def racing_entries():
-        listed = real_entries()
-        # A concurrent deleter removes half the listed files before the
-        # evictor gets to stat/unlink them.
-        for path in listed[::2]:
-            path.unlink()
-        return listed
-    monkeypatch.setattr(cache, "entries", racing_entries)
-    cache.evict_to_cap()  # must not raise
-    monkeypatch.setattr(cache, "entries", real_entries)
-    assert len(cache) <= 2
-
-
-def test_entries_survives_vanishing_shard_dir(tmp_path):
-    import shutil
-
-    cache = EmissionCache(tmp_path)
+def test_keys_survive_vanishing_store_file(tmp_path):
+    tier = SqliteTier(tmp_path)
     key = "ef" + "0" * 62
-    assert cache.put(key, _record())
-    assert len(cache.entries()) == 1
-    shutil.rmtree(cache.base)
-    assert cache.entries() == []
-    assert len(cache) == 0
+    assert tier.put(key, _record())[0]
+    assert tier.keys() == [key]
+    # Another process healed the shared store away under us.
+    for path in tmp_path.iterdir():
+        path.unlink()
+    assert tier.keys() == []
+    assert len(tier) == 0
+    assert tier.corruptions == 0
+    # The next put sets a new file up from scratch.
+    assert tier.put(key, _record())[0]
+    assert tier.get(key) == (_record(), 0)
 
 
 def test_cache_threaded_puts_against_eviction(tmp_path):
-    # Satellite (c): hammer one store from a writer thread (puts +
-    # invalidations) while the main thread loops eviction and listing.
-    # The contract is crash-freedom and cap enforcement, not a specific
-    # surviving set.
+    # Hammer one store from a writer thread (puts + invalidations) while
+    # the main thread loops eviction and listing.  The contract is
+    # crash-freedom and cap enforcement, not a specific surviving set.
     import threading
 
-    cache = EmissionCache(tmp_path, max_entries=8)
+    tier = SqliteTier(tmp_path, max_entries=8)
     errors = []
 
     def writer():
         try:
             for i in range(120):
-                key = f"{i % 16:02x}" + f"{i:060x}"
-                cache.put(key, _record(i))
+                key = f"{i % 16:02x}" + f"{i:062x}"
+                assert tier.put(key, _record(i))[0]
                 if i % 3 == 0:
-                    cache.invalidate(key)
+                    tier.invalidate(key)
         except Exception as exc:  # pragma: no cover - the test's point
             errors.append(exc)
 
@@ -284,11 +258,12 @@ def test_cache_threaded_puts_against_eviction(tmp_path):
     thread.start()
     try:
         for _ in range(200):
-            cache.evict_to_cap()
-            cache.entries()
-            len(cache)
+            tier.evict_to_cap()
+            tier.keys()
+            len(tier)
     finally:
         thread.join()
     assert not errors, f"writer thread crashed: {errors}"
-    cache.evict_to_cap()
-    assert len(cache) <= 8
+    tier.evict_to_cap()
+    assert len(tier) <= 8
+    assert tier.corruptions == 0

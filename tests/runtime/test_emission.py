@@ -115,10 +115,10 @@ def test_job_runner_pool_matches_inline():
     jobs = [_job(arrivals=(i, 0, 0)) for i in range(3)]
     inline = [run_supernode_job(j) for j in jobs]
     with JobRunner(2) as runner:
-        pooled = runner.run_batch(jobs)
+        pooled = [o.record for o in runner.run_batch_outcomes(jobs)]
     assert pooled == inline
     with JobRunner(1) as runner:
-        serial = runner.run_batch(jobs)
+        serial = [o.record for o in runner.run_batch_outcomes(jobs)]
     assert serial == inline
     with pytest.raises(ValueError):
         JobRunner(0)

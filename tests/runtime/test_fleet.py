@@ -8,8 +8,8 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.benchgen import build_circuit
 from repro.core import DDBDDConfig, ddbdd_synthesize
-from repro.runtime.cache import EmissionCache
 from repro.runtime.fleet import get_fleet, reset_fleet
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import SqliteTier, TieredEmissionCache
@@ -37,15 +37,6 @@ def test_store_for_tiered_is_shared_per_root(tmp_path):
     assert a is b, "tier 1 only works if every request on a root shares it"
     other = fleet.store_for(DDBDDConfig(cache="readwrite", cache_dir=str(tmp_path / "x")))
     assert other is not a
-
-
-def test_store_for_legacy_is_per_run(tmp_path):
-    fleet = get_fleet()
-    cfg = DDBDDConfig(cache="readwrite", cache_dir=str(tmp_path), cache_tier="legacy")
-    a = fleet.store_for(cfg)
-    b = fleet.store_for(cfg)
-    assert isinstance(a, EmissionCache)
-    assert a is not b, "legacy mode keeps the old per-run counter semantics"
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +207,47 @@ def test_cold_run_claims_every_computed_key(tmp_path):
     assert isinstance(store, TieredEmissionCache)
     for key in store.disk.keys():
         assert store.disk.claim_state(key) is None
+    reset_fleet()
+
+
+def test_same_wave_duplicates_follow_one_flight(tmp_path):
+    """Cold ``mux`` has two supernodes per signature in one wavefront.
+    The second copy follows the first copy's in-process flight, so each
+    key is computed and claimed once: the request never waits on, or
+    reaps, its own lease."""
+    reset_fleet()
+    clean = ddbdd_synthesize(build_circuit("mux"), DDBDDConfig(jobs=1, faults=None))
+    before = get_fleet().snapshot()
+    result = ddbdd_synthesize(build_circuit("mux"), DDBDDConfig(
+        jobs=1, cache="readwrite", cache_dir=str(tmp_path), faults=None,
+    ))
+    after = get_fleet().snapshot()
+    stats = result.runtime_stats
+    distinct = len(SqliteTier(tmp_path).keys())
+    duplicates = stats.cache_misses - distinct
+    assert duplicates > 0
+    assert "held" not in stats.claims and "reaped" not in stats.claims
+    assert stats.claims.get("won") == distinct
+    assert after["jobs_computed"] - before["jobs_computed"] == distinct
+    assert stats.dedup_hits == duplicates
+    assert net_dump(result.network) == net_dump(clean.network)
+    reset_fleet()
+
+
+def test_fault_armed_duplicates_compute_solo(tmp_path):
+    """A fault-armed request never follows a flight, its own included:
+    each copy is computed, and nothing is claimed."""
+    reset_fleet()
+    clean = ddbdd_synthesize(build_circuit("mux"), DDBDDConfig(jobs=1, faults=None))
+    before = get_fleet().snapshot()
+    result = ddbdd_synthesize(build_circuit("mux"), DDBDDConfig(
+        jobs=1, cache="readwrite", cache_dir=str(tmp_path), faults="raise@job=99",
+    ))
+    after = get_fleet().snapshot()
+    stats = result.runtime_stats
+    assert stats.dedup_hits == 0 and stats.claims == {}
+    assert after["jobs_computed"] - before["jobs_computed"] == stats.cache_misses
+    assert net_dump(result.network) == net_dump(clean.network)
     reset_fleet()
 
 

@@ -1,6 +1,6 @@
 """Tiered content-addressed store: per-tier LRU/corruption/promotion
-behaviour, cross-process-safe tier-2 writes, legacy-shard migration,
-cross-daemon claim leases and the remote tier-4 walk."""
+behaviour, cross-process-safe tier-2 writes, cross-daemon claim leases
+and the remote tier-3 walk."""
 
 from __future__ import annotations
 
@@ -8,12 +8,10 @@ import json
 import sqlite3
 import threading
 
-from repro.core import DDBDDConfig, ddbdd_synthesize
-from repro.runtime.cache import EmissionCache
 from repro.runtime.emission import EmissionCell, EmissionRecord
-from repro.runtime.fleet import reset_fleet
 from repro.runtime.remote import RemoteResult
 from repro.runtime.signature import SIGNATURE_VERSION
+import repro.runtime.tiers as tiers_mod
 from repro.runtime.tiers import (
     CacheTelemetry,
     MemoryTier,
@@ -23,8 +21,6 @@ from repro.runtime.tiers import (
     TIER_NAMES,
     TIER_OPS,
 )
-from tests.conftest import random_gate_network
-from tests.runtime.helpers import net_dump
 
 
 def _record(tag: int = 0) -> EmissionRecord:
@@ -106,6 +102,64 @@ def test_sqlite_tier_damaged_file_heals_wholesale(tmp_path):
     assert tier.get(_key(3))[0] == _record()
 
 
+def test_sqlite_tier_lock_is_a_miss_not_damage(tmp_path, monkeypatch):
+    """Another connection holding the write lock past the busy timeout
+    makes a lookup miss; it is no corruption, and the shared file and
+    its rows survive."""
+    monkeypatch.setattr(tiers_mod, "_BUSY_TIMEOUT_MS", 50)
+    tier = SqliteTier(tmp_path)
+    assert tier.put(_key(1), _record(1))[0]
+    holder = sqlite3.connect(tier.path, isolation_level=None)
+    try:
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("UPDATE records SET touched = touched")
+        assert tier.get(_key(1)) == (None, 0)
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
+    assert tier.corruptions == 0
+    assert tier.path.exists(), "a lock must never unlink the shared store"
+    assert tier.keys() == [_key(1)]
+    assert tier.get(_key(1)) == (_record(1), 0)
+
+
+def test_damage_is_told_from_a_lock_by_message_alone():
+    # Python before 3.11 gives sqlite errors no ``sqlite_errorcode``.
+    assert tiers_mod._is_damage(sqlite3.DatabaseError("file is not a database"))
+    assert tiers_mod._is_damage(sqlite3.DatabaseError("database disk image is malformed"))
+    assert not tiers_mod._is_damage(sqlite3.OperationalError("database is locked"))
+    assert not tiers_mod._is_damage(sqlite3.OperationalError("no such table: records"))
+
+
+def test_sqlite_tier_sets_up_each_file_once(tmp_path, monkeypatch):
+    """The WAL pragma and the tables are set up once per store and
+    database file — again after a heal — not on every connection."""
+    statements: list = []
+    real_connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn = real_connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(tiers_mod.sqlite3, "connect", traced)
+
+    def setups() -> int:
+        return sum(
+            1 for sql in statements if "journal_mode" in sql or sql.startswith("CREATE")
+        )
+
+    tier = SqliteTier(tmp_path)
+    for i in range(3):
+        assert tier.put(_key(i), _record(i))[0]
+        assert tier.get(_key(i)) == (_record(i), 0)
+    assert setups() == 4, "one WAL pragma and three tables"
+    tier.path.write_bytes(b"this is not a sqlite database at all")
+    assert tier.get(_key(0)) == (None, 1)
+    assert tier.put(_key(0), _record(0))[0]
+    assert setups() == 8
+
+
 def test_sqlite_tier_evicts_least_recently_touched(tmp_path):
     tier = SqliteTier(tmp_path, max_entries=3)
     for i in range(6):
@@ -158,52 +212,41 @@ def test_tiered_put_writes_sqlite_and_memory_not_shards(tmp_path):
     assert store.put(_key(4), _record(), tele)
     assert len(store.memory) == 1
     assert len(store.disk) == 1
-    assert len(store.shards) == 0, "tiered runs never write the legacy layout"
+    assert not (tmp_path / f"v{SIGNATURE_VERSION}").exists(), (
+        "no one-file-per-record shard tree is ever written"
+    )
     assert tele.tiers["sqlite"]["puts"] == 1
     assert tele.tiers["memory"]["puts"] == 1
 
 
-def test_tiered_get_promotes_shard_hit_upward(tmp_path):
-    # Prime only the legacy tier, as an old cache directory would be.
-    legacy = EmissionCache(tmp_path)
-    assert legacy.put(_key(5), _record(5))
+def test_tiered_get_promotes_sqlite_hit_to_memory(tmp_path):
+    # Prime only the persistent tier, as a fresh process on a warm root.
+    assert SqliteTier(tmp_path).put(_key(5), _record(5))[0]
     store = TieredEmissionCache(tmp_path)
     tele = CacheTelemetry()
     assert store.get(_key(5), tele) == _record(5)
-    assert tele.tiers["shards"]["hits"] == 1
-    assert tele.tiers["sqlite"]["promotions"] == 1
+    assert tele.tiers["sqlite"]["hits"] == 1
     assert tele.tiers["memory"]["promotions"] == 1
-    # Promoted copies now serve without touching the shard tree.
-    assert len(store.disk) == 1
+    # The promoted copy now serves without touching sqlite.
     tele2 = CacheTelemetry()
     assert store.get(_key(5), tele2) == _record(5)
     assert tele2.tiers["memory"]["hits"] == 1
     assert tele2.tiers["sqlite"]["hits"] == 0
 
 
-def test_tiered_get_read_mode_never_promotes_to_disk(tmp_path):
-    legacy = EmissionCache(tmp_path)
-    assert legacy.put(_key(6), _record(6))
-    store = TieredEmissionCache(tmp_path)
-    assert store.get(_key(6), promote_disk=False) == _record(6)
-    assert not store.disk.path.exists(), "read mode must not create files"
-    assert len(store.memory) == 1  # memory promotion is free of files
-
-
 def test_tiered_invalidate_drops_every_tier(tmp_path):
-    legacy = EmissionCache(tmp_path)
-    assert legacy.put(_key(7), _record(7))
     store = TieredEmissionCache(tmp_path)
-    assert store.get(_key(7)) is not None  # promoted everywhere
+    assert store.put(_key(7), _record(7))
+    assert (len(store.memory), len(store.disk)) == (1, 1)
     store.invalidate(_key(7))
     assert store.get(_key(7)) is None
     assert len(store.memory) == 0
     assert len(store.disk) == 0
-    assert store.shards.get(_key(7)) is None
 
 
 def test_telemetry_shape_and_totals():
     tele = CacheTelemetry()
+    assert TIER_NAMES == ("memory", "sqlite", "remote")
     assert set(tele.tiers) == set(TIER_NAMES)
     for counters in tele.tiers.values():
         assert set(counters) == set(TIER_OPS)
@@ -212,38 +255,6 @@ def test_telemetry_shape_and_totals():
     assert tele.total("hits") == 3
     payload = json.loads(json.dumps(tele.as_dict()))
     assert payload["sqlite"]["hits"] == 2
-
-
-# ----------------------------------------------------------------------
-# Flow-level migration: legacy shards warm the tiered store
-# ----------------------------------------------------------------------
-def test_legacy_cache_dir_migrates_into_tiers(tmp_path):
-    net = random_gate_network(12, n_pi=10, n_gates=50, n_po=5)
-    serial = ddbdd_synthesize(net, DDBDDConfig())
-    # Populate the directory with the legacy stack only.
-    legacy = ddbdd_synthesize(net, DDBDDConfig(
-        cache="readwrite", cache_dir=str(tmp_path), cache_tier="legacy",
-    ))
-    assert legacy.runtime_stats.cache_puts > 0
-    assert EmissionCache(tmp_path).entries()
-    reset_fleet()
-    # First tiered contact: every hit comes from the shard tier and is
-    # promoted into sqlite + memory.
-    warm = ddbdd_synthesize(net, DDBDDConfig(
-        cache="readwrite", cache_dir=str(tmp_path),
-    ))
-    assert net_dump(warm.network) == net_dump(serial.network)
-    assert warm.runtime_stats.cache_misses == 0
-    tiers = warm.runtime_stats.cache_tiers
-    assert tiers["shards"]["hits"] == warm.runtime_stats.cache_hits
-    assert tiers["sqlite"]["promotions"] == warm.runtime_stats.cache_hits
-    assert (tmp_path / f"v{SIGNATURE_VERSION}.sqlite").exists()
-    # Second tiered run: served from the promoted copies.
-    again = ddbdd_synthesize(net, DDBDDConfig(
-        cache="readwrite", cache_dir=str(tmp_path),
-    ))
-    assert again.runtime_stats.cache_misses == 0
-    assert again.runtime_stats.cache_tiers["shards"]["hits"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +380,7 @@ def test_contended_claims_and_puts_never_drop_or_corrupt(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Tier 4: the remote walk (driven through a scripted fake client)
+# Tier 3: the remote walk (driven through a scripted fake client)
 # ----------------------------------------------------------------------
 class _FakeRemote:
     """Scripted stand-in for RemoteClient: returns canned results and

@@ -7,9 +7,11 @@ lifecycle tests (drain/503) start their own instance.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+import repro.serve.app as app_mod
 from repro import __version__
 from repro.benchgen import build_circuit
 from repro.core.config import DDBDDConfig
@@ -189,14 +191,27 @@ class TestQuotasEndToEnd:
             assert stats["peak_running"] == 1
             assert stats["running"] == 0 and stats["waiting"] == 0
 
-    def test_tenant_queue_limit_429(self):
+    def test_tenant_queue_limit_429(self, monkeypatch):
+        # The first job holds the only worker until the test releases
+        # it, so the tenant queue fills however fast synthesis runs.
+        started = threading.Event()
+        release = threading.Event()
+        real_execute = app_mod._execute
+
+        def held(request, observer):
+            started.set()
+            release.wait(60)
+            return real_execute(request, observer)
+
+        monkeypatch.setattr(app_mod, "_execute", held)
         harness = DaemonHarness(
             ServerConfig(max_workers=1, tenant_concurrency=1, tenant_queue_limit=1)
         ).start()
         try:
-            # A slow job occupies the worker; the next submit waits (1
+            # A held job occupies the worker; the next submit waits (1
             # allowed), the one after that must be refused.
             harness.submit({"benchmark": "9sym", "tenant": "alice"})
+            assert started.wait(30), "the first job never started"
             statuses = []
             for _ in range(3):
                 status, body = harness.request(
@@ -207,6 +222,7 @@ class TestQuotasEndToEnd:
             _, health = harness.request("GET", "/healthz")
             assert health["rejected"] >= 1
         finally:
+            release.set()
             harness.stop()
 
 

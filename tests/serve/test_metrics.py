@@ -43,7 +43,8 @@ class TestSchemaContract:
     def test_runtime_stats_keys_are_the_contract(self):
         payload = sample_stats()
         assert tuple(payload) == RUNTIME_STATS_KEYS
-        assert payload["schema"] == STATS_SCHEMA
+        # Schema 4: cache_tiers has no "shards" tier.
+        assert payload["schema"] == STATS_SCHEMA == 4
         assert payload["version"] == __version__
 
     def test_pass_and_failure_rows_match_contract(self):
