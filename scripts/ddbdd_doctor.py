@@ -13,14 +13,10 @@ serving contract:
 5. the tiered cache works end to end: a cache-armed submit materializes
    the sqlite tier on disk, and a repeat submit is served entirely from
    the tier stack (zero misses) with identical BLIF;
-6. the daemon doubles as a **remote cache shard**: ``/v1/cache/<sig>``
-   serves the records its own jobs stored (hex-key validation, 404 on
-   miss, 400 on garbage), and ``/healthz`` reports cache-tier
-   reachability plus remote breaker state;
-7. ``/metrics`` serves both JSON and Prometheus renderings, including
-   the per-tier cache counters, fleet dedup telemetry and the remote
-   breaker/claims families;
-8. SIGTERM drains gracefully: the daemon finishes its work, prints the
+6. ``/metrics`` serves both JSON and Prometheus renderings, including
+   the per-tier cache counters, fleet dedup telemetry and the claims
+   family;
+7. SIGTERM drains gracefully: the daemon finishes its work, prints the
    drain summary, and exits 0.
 
 Every HTTP probe runs under its own hard timeout (``--probe-timeout``,
@@ -55,7 +51,7 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 #: Default hard bound per HTTP probe (fast endpoints: healthz, metrics,
-#: cache, polls).  Submits use the looser ``--timeout``.
+#: polls).  Submits use the looser ``--timeout``.
 DEFAULT_PROBE_TIMEOUT_S = 60.0
 
 _CHECKS: List[str] = []
@@ -122,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--probe-timeout",
         type=float,
         default=DEFAULT_PROBE_TIMEOUT_S,
-        help="hard bound per fast HTTP probe (healthz/metrics/cache/polls); "
+        help="hard bound per fast HTTP probe (healthz/metrics/polls); "
         "a hang exits nonzero naming the check",
     )
     args = parser.parse_args(argv)
@@ -135,10 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     cache_root = tempfile.mkdtemp(prefix="ddbdd_doctor_cache_")
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-            "--cache-root", cache_root,
-        ],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -171,19 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             str(health.get("version")),
         )
         check("daemon is serving", health.get("state") == "serving")
-        tiers_health = health.get("cache_tiers")
-        check(
-            "/healthz reports cache-tier reachability",
-            isinstance(tiers_health, dict)
-            and tiers_health.get("configured") is True
-            and tiers_health.get("sqlite_ok") is True,
-            str(tiers_health),
-        )
-        check(
-            "/healthz reports remote breaker state",
-            isinstance(health.get("remote_breakers"), dict),
-            str(health.get("remote_breakers")),
-        )
 
         status, snap = request(
             port,
@@ -276,49 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         check("warm BLIF identical to cold", warm["result"]["blif"] == cold["result"]["blif"])
 
-        # The daemon serves its own cache root at /v1/cache/<sig>: the
-        # records the cache-armed job just stored must round-trip.
-        from repro.runtime.tiers import SqliteTier
-
-        keys = SqliteTier(cache_root).keys()
-        check("shard store holds the job's records", len(keys) > 0, f"{len(keys)} keys")
-        status, record = request(
-            port, "GET", f"/v1/cache/{keys[0]}",
-            timeout=args.probe_timeout, label="cache GET serves a stored record",
-        )
-        check(
-            "cache GET serves a stored record",
-            status == 200 and isinstance(record, dict) and "cells" in record,
-            f"status={status}",
-        )
-        status, body = request(
-            port, "GET", "/v1/cache/" + "0" * 64,
-            timeout=args.probe_timeout, label="cache GET misses with 404",
-        )
-        check(
-            "cache GET misses with 404",
-            status == 404 and body["error"]["code"] == "cache_miss",
-            f"status={status}",
-        )
-        status, body = request(
-            port, "GET", "/v1/cache/not-hex",
-            timeout=args.probe_timeout, label="cache GET rejects non-hex keys",
-        )
-        check(
-            "cache GET rejects non-hex keys",
-            status == 400 and body["error"]["code"] == "invalid_signature",
-            f"status={status}",
-        )
-        status, body = request(
-            port, "PUT", "/v1/cache/" + "1" * 64, {"cells": "garbage"},
-            timeout=args.probe_timeout, label="cache PUT rejects garbage records",
-        )
-        check(
-            "cache PUT rejects garbage records",
-            status == 400 and body["error"]["code"] == "invalid_record",
-            f"status={status}",
-        )
-
         status, metrics = request(
             port, "GET", "/metrics",
             timeout=args.probe_timeout, label="/metrics JSON aggregates served jobs",
@@ -346,10 +283,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             and "ddbdd_dedup_total" in str(prom),
         )
         check(
-            "Prometheus text exposes remote breaker/claims families",
-            "ddbdd_breaker_state" in str(prom)
-            and "ddbdd_remote_ops_total" in str(prom)
-            and "ddbdd_claims_total" in str(prom),
+            "Prometheus text exposes the claims family",
+            "ddbdd_claims_total" in str(prom),
         )
 
         proc.send_signal(signal.SIGTERM)

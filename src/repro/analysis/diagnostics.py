@@ -54,9 +54,6 @@ DIAGNOSTIC_CODES = {
     "DD402": "degraded cover failed re-verification",
     "DD403": "supernode job exceeded its execution budget",
     "DD404": "worker-pool failure recovered by retry or serial fallback",
-    "DD411": "remote cache op failed; walk degraded to local tiers",
-    "DD412": "remote cache circuit breaker tripped open",
-    "DD413": "remote record failed spot-simulation and was quarantined",
 }
 
 

@@ -17,14 +17,7 @@ finding:
   respawn/retry or in-process serial fallback;
 * ``DD402`` (error) — a recovered cover failed re-verification.  The
   ladder raises this case itself before the cover can be spliced; the
-  code is checked here too as defense in depth;
-* ``DD411`` (warning) — a remote cache-tier operation failed at the
-  transport or HTTP level and the walk degraded to local tiers;
-* ``DD412`` (warning) — the remote tier's circuit breaker tripped open
-  and remote traffic was suspended for the cooldown window;
-* ``DD413`` (warning) — a fetched remote record failed the
-  ``verify_record`` spot-simulation and was quarantined (a corrupt or
-  adversarial shard; the record was never promoted or used).
+  code is checked here too as defense in depth.
 """
 
 from __future__ import annotations
@@ -36,12 +29,6 @@ from repro.runtime.stats import FailureReport
 
 #: Ladder rungs that actually degrade the cover (a clean retry does not).
 DEGRADED_RUNGS = ("tighten", "plain", "shannon")
-
-#: ``kind="remote"`` reasons that are transport/HTTP-level failures
-#: (DD411).  ``garbage`` — an unparseable response body — rides with
-#: DD413 instead: like a quarantine it means the shard *answered* with
-#: a record that cannot be trusted, not that the network failed.
-REMOTE_TRANSPORT_REASONS = ("timeout", "refused", "unreachable", "http_error")
 
 
 def check_failure_reports(reports: Iterable[FailureReport]) -> List[Diagnostic]:
@@ -63,22 +50,6 @@ def check_failure_reports(reports: Iterable[FailureReport]) -> List[Diagnostic]:
     * ``DD404`` (warning) — triggers when ``report.kind == "pool"``:
       a worker-pool failure (crash, lost result, executor error) was
       recovered by respawn/retry or the in-process serial fallback.
-    * ``DD411`` (warning) — triggers when ``report.kind == "remote"``
-      and ``report.reason`` is one of :data:`REMOTE_TRANSPORT_REASONS`
-      (``timeout``/``refused``/``unreachable``/``http_error``): one
-      logical remote cache op failed after its retry ladder and the
-      tier walk degraded to local tiers.  ``report.rung`` carries the
-      direction (``get``/``put``).
-    * ``DD412`` (warning) — triggers when ``report.kind == "remote"``
-      and ``report.reason == "breaker_open"``: the direction's circuit
-      breaker transitioned to open (one row per trip, not per skipped
-      op — skips during the outage window are counted in telemetry
-      only).
-    * ``DD413`` (warning) — triggers when ``report.kind == "remote"``
-      and ``report.reason`` is ``quarantined`` (a structurally valid
-      record that failed the spot-simulation) or ``garbage`` (an
-      unparseable response body): the shard served bytes that cannot be
-      trusted, and nothing was promoted into the local tiers.
     """
     diags: List[Diagnostic] = []
     for report in reports:
@@ -118,32 +89,4 @@ def check_failure_reports(reports: Iterable[FailureReport]) -> List[Diagnostic]:
                 severity=WARNING,
                 where=report.job,
             ))
-        elif report.kind == "remote":
-            if report.reason in REMOTE_TRANSPORT_REASONS:
-                diags.append(Diagnostic(
-                    "DD411",
-                    f"remote cache {report.rung or 'op'} for {report.job!r} "
-                    f"failed ({report.reason}) after {report.retries} "
-                    "retry(ies); degraded to local tiers",
-                    severity=WARNING,
-                    where=report.job,
-                ))
-            elif report.reason == "breaker_open":
-                diags.append(Diagnostic(
-                    "DD412",
-                    f"remote cache breaker tripped open on the "
-                    f"{report.rung or '?'} path (job {report.job!r}); remote "
-                    "traffic suspended for the cooldown window",
-                    severity=WARNING,
-                    where=report.job,
-                ))
-            elif report.reason in ("quarantined", "garbage"):
-                diags.append(Diagnostic(
-                    "DD413",
-                    f"remote record for {report.job!r} was untrusted "
-                    f"({report.reason}) and quarantined; nothing promoted "
-                    "into local tiers",
-                    severity=WARNING,
-                    where=report.job,
-                ))
     return diags

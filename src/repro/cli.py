@@ -64,13 +64,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.faults is not None:
         # Explicit flag wins over the $DDBDD_FAULTS default.
         kwargs["faults"] = args.faults
-    if args.cache_remote is not None:
-        # Explicit flag wins over the $DDBDD_CACHE_REMOTE default.
-        kwargs["cache_remote"] = args.cache_remote or None
-    if args.remote_deadline is not None:
-        kwargs["remote_deadline_s"] = args.remote_deadline
-    if args.remote_breaker is not None:
-        kwargs["remote_breaker"] = args.remote_breaker
     config = DDBDDConfig(
         k=args.k,
         collapse=not args.no_collapse,
@@ -150,7 +143,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenant_concurrency=args.tenant_concurrency,
         tenant_queue_limit=args.tenant_queue_limit,
         max_queue_depth=args.max_queue_depth,
-        cache_root=args.cache_root,
     )
 
     def announce(line: str) -> None:
@@ -242,29 +234,6 @@ def main(argv: Optional[list] = None) -> int:
         "--cache-dir",
         default=".ddbdd_cache",
         help="cache directory (default: .ddbdd_cache)",
-    )
-    p.add_argument(
-        "--cache-remote",
-        default=None,
-        metavar="URL",
-        help="http:// base URL of a remote cache shard (a serve daemon "
-        "exposing /v1/cache/<sig>), slotted as tier 3 under the local "
-        "tiers; '' disables (overrides $DDBDD_CACHE_REMOTE)",
-    )
-    p.add_argument(
-        "--remote-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="hard deadline per remote cache operation (default: 2.0)",
-    )
-    p.add_argument(
-        "--remote-breaker",
-        default=None,
-        metavar="TRIP/COOLDOWN/PROBE",
-        help="remote circuit-breaker spec: consecutive failures to trip "
-        "open, skipped ops before a half-open probe, probe successes to "
-        "close (default: 3/8/2)",
     )
     p.add_argument(
         "--fleet-weight",
@@ -367,13 +336,6 @@ def main(argv: Optional[list] = None) -> int:
         type=int,
         default=256,
         help="waiting jobs allowed in total before 429",
-    )
-    p.add_argument(
-        "--cache-root",
-        default=None,
-        metavar="DIR",
-        help="serve this cache root at /v1/cache/<sig> so other daemons "
-        "can use this box as their remote cache shard (default: off)",
     )
     p.set_defaults(func=_cmd_serve)
 

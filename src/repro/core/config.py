@@ -40,15 +40,6 @@ def _default_jobs() -> int:
     return jobs
 
 
-def _default_cache_remote() -> Optional[str]:
-    """Remote cache shard default: the ``DDBDD_CACHE_REMOTE``
-    environment variable when set (a ``http://host:port`` base URL of a
-    serve daemon exposing ``/v1/cache/<sig>``), else ``None`` (no
-    remote tier)."""
-    raw = os.environ.get("DDBDD_CACHE_REMOTE", "").strip()
-    return raw or None
-
-
 def _default_faults() -> Optional[str]:
     """Fault-plan default: the ``DDBDD_FAULTS`` environment variable
     when set (the fault-injection test/CI hook), else ``None``.
@@ -154,27 +145,6 @@ class DDBDDConfig:
         Root directory of the on-disk cache.
     cache_max_entries:
         LRU size cap of the cache (entries, not bytes).
-    cache_remote:
-        Base URL (``http://host:port``) of a remote cache shard — a
-        serve daemon exposing ``GET``/``PUT /v1/cache/<sig>`` — slotted
-        as tier 3 under memory and sqlite (see
-        :mod:`repro.runtime.remote`).  ``None`` (default) disables the
-        remote tier.  Defaults to the ``DDBDD_CACHE_REMOTE``
-        environment variable when set.  Remote faults never surface as
-        user errors: the tier degrades silently to local tiers and
-        reports through telemetry and ``FailureReport`` rows.
-    remote_deadline_s:
-        Hard wall-time deadline per remote cache operation in seconds.
-        Every GET/PUT attempt is bounded by this; a breach counts as a
-        breaker failure.
-    remote_retries:
-        Extra attempts per remote operation after the first failure
-        (bounded exponential backoff between attempts).
-    remote_breaker:
-        Circuit-breaker spec ``"TRIP/COOLDOWN/PROBE"``: consecutive
-        failures to trip open, skipped ops before a half-open probe,
-        probe successes to close again.  Deterministic — the breaker
-        ticks on operation counts, never wall-clock.
     cache_claims:
         Cross-process singleflight for shared cache roots: leaders
         claim signatures via transactional lease rows in the tier-2
@@ -240,10 +210,6 @@ class DDBDDConfig:
     cache: str = "off"
     cache_dir: str = ".ddbdd_cache"
     cache_max_entries: int = 8192
-    cache_remote: Optional[str] = field(default_factory=_default_cache_remote)
-    remote_deadline_s: float = 2.0
-    remote_retries: int = 2
-    remote_breaker: str = "3/8/2"
     cache_claims: bool = True
     fleet_weight: int = 1
     flow: Optional[str] = None
@@ -268,26 +234,6 @@ class DDBDDConfig:
             raise ValueError(f"cache must be off, read or readwrite, got {self.cache!r}")
         if self.cache_max_entries < 1:
             raise ValueError("cache_max_entries must be positive")
-        if self.cache_remote is not None:
-            if not isinstance(self.cache_remote, str) or not self.cache_remote.strip():
-                raise ValueError("cache_remote must be None or a non-empty http:// URL")
-            if not self.cache_remote.startswith("http://"):
-                raise ValueError(
-                    f"cache_remote must be an http:// base URL, got {self.cache_remote!r}"
-                )
-        if not self.remote_deadline_s > 0:
-            raise ValueError("remote_deadline_s must be positive")
-        if self.remote_retries < 0:
-            raise ValueError("remote_retries must be >= 0")
-        # Structural breaker-spec check inline (three '/'-separated
-        # positive ints); repro.runtime.remote re-parses it — importing
-        # it here would create a core -> runtime cycle.
-        parts = str(self.remote_breaker).split("/")
-        if len(parts) != 3 or not all(p.isdigit() and int(p) >= 1 for p in parts):
-            raise ValueError(
-                "remote_breaker must be 'TRIP/COOLDOWN/PROBE' with each part an "
-                f"integer >= 1, got {self.remote_breaker!r}"
-            )
         if self.fleet_weight < 1:
             raise ValueError("fleet_weight must be >= 1")
         if self.flow is not None and (

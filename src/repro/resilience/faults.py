@@ -19,10 +19,6 @@ fault fires before disarming itself.  Examples::
     blowup@job=5                       # job 5's meter reports a node blow-up
     corrupt_shard@put=5                # the 5th cache put is truncated
     crash_worker@job=1x5               # job 1 crashes its worker 5 times
-    net_timeout@get=3                  # the 3rd remote GET times out
-    net_refuse@put=2                   # the 2nd remote PUT is refused
-    net_slow@get=5:1.5s                # the 5th remote GET takes 1.5s
-    net_garbage@get=7                  # the 7th remote GET returns garbage
 
 Kinds and sites:
 
@@ -42,26 +38,7 @@ kind               site  effect at the injection point
                          modelling a BDD blow-up
 ``corrupt_shard``  put   truncate the just-written sqlite cache row,
                          modelling a torn write
-``net_timeout``    get/  the addressed remote-tier op times out at the
-                   put   socket, modelling a dead or partitioned shard
-``net_refuse``     get/  the addressed remote-tier op sees a refused
-                   put   connection, modelling a crashed daemon
-``net_slow``       get/  the addressed remote-tier op stalls ``ARG``
-                   put   seconds (default 1.0) before reaching the wire;
-                         an ARG past the client deadline becomes a
-                         timeout, modelling a congested or GC-ing shard
-``net_garbage``    get/  the addressed remote-tier op receives a
-                   put   corrupted response body, modelling a byzantine
-                         or bit-rotted shard
 =================  ====  ==================================================
-
-The ``net_*`` kinds fire at the :class:`repro.runtime.remote.RemoteClient`
-seam — *before* any real socket I/O — against separate 1-based
-per-direction remote op counters (``get`` and ``put``), bumped by
-:func:`note_remote`.  They never touch job execution, so unlike
-job-addressed faults they do not poison singleflight sharing: a record
-synthesized under a net-only plan is exactly the record a clean run
-would produce.
 
 The plan is process-global state, installed with :func:`activated` for
 the duration of one synthesis run.  Worker processes inherit the plan at
@@ -82,19 +59,12 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 _JOB_KINDS = ("crash_worker", "stall", "raise", "blowup")
 _PUT_KINDS = ("corrupt_shard",)
-_NET_KINDS = ("net_timeout", "net_refuse", "net_slow", "net_garbage")
-_REMOTE_SITES = ("get", "put")
 _SITE_OF = {kind: "job" for kind in _JOB_KINDS}
 _SITE_OF.update({kind: "put" for kind in _PUT_KINDS})
-
-
-def is_net_kind(kind: str) -> bool:
-    """Whether ``kind`` is a remote-boundary (``net_*``) fault kind."""
-    return kind in _NET_KINDS
 
 
 class FaultPlanError(ValueError):
@@ -118,7 +88,7 @@ class Fault:
 
     def describe(self) -> str:
         suffix = f"x{self.remaining}" if self.remaining != 1 else ""
-        arg = f":{self.arg}s" if self.kind in ("stall", "net_slow") else ""
+        arg = f":{self.arg}s" if self.kind == "stall" else ""
         return f"{self.kind}@{self.site}={self.n}{suffix}{arg}"
 
 
@@ -129,8 +99,6 @@ class FaultPlan:
     spec: str
     faults: List[Fault] = field(default_factory=list)
     puts: int = 0  # 1-based put counter, bumped by note_put()
-    # 1-based remote-op counters per direction, bumped by note_remote().
-    remote_ops: Dict[str, int] = field(default_factory=lambda: {"get": 0, "put": 0})
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -150,20 +118,14 @@ class FaultPlan:
         head, sep, arg_text = text.partition(":")
         kind, sep2, target = head.partition("@")
         kind = kind.strip()
-        if not sep2 or (kind not in _SITE_OF and kind not in _NET_KINDS):
-            known = ", ".join(sorted(tuple(_SITE_OF) + _NET_KINDS))
+        if not sep2 or kind not in _SITE_OF:
+            known = ", ".join(sorted(_SITE_OF))
             raise FaultPlanError(
                 f"bad fault {text!r}: expected kind@site=N with kind in ({known})"
             )
         site, sep3, n_text = target.partition("=")
         site = site.strip()
-        if kind in _NET_KINDS:
-            if not sep3 or site not in _REMOTE_SITES:
-                raise FaultPlanError(
-                    f"bad fault {text!r}: {kind} fires at a remote-op site "
-                    f"(as {kind}@get=N or {kind}@put=N)"
-                )
-        elif not sep3 or site != _SITE_OF[kind]:
+        if not sep3 or site != _SITE_OF[kind]:
             raise FaultPlanError(
                 f"bad fault {text!r}: {kind} fires at site "
                 f"{_SITE_OF[kind]!r} (as {kind}@{_SITE_OF[kind]}=N)"
@@ -178,13 +140,11 @@ class FaultPlan:
             ) from None
         if n < 1 or count < 1:
             raise FaultPlanError(f"bad fault {text!r}: N and COUNT must be >= 1")
-        takes_arg = kind in ("stall", "net_slow")
+        takes_arg = kind == "stall"
         arg = 0.0
         if sep:
             if not takes_arg:
-                raise FaultPlanError(
-                    f"bad fault {text!r}: only stall and net_slow take an :ARG"
-                )
+                raise FaultPlanError(f"bad fault {text!r}: only stall takes an :ARG")
             try:
                 arg = float(arg_text.strip().rstrip("s"))
             except ValueError:
@@ -241,32 +201,6 @@ class FaultPlan:
                 fault.remaining -= 1
                 return True
         return False
-
-    def note_remote(self, op: str) -> Optional[Fault]:
-        """Count one remote-tier op (``"get"`` or ``"put"``) and return
-        the armed ``net_*`` fault addressed at it, consuming one charge.
-
-        The remote counters are separate from :attr:`puts` — a
-        ``corrupt_shard@put`` plan and a ``net_refuse@put`` plan count
-        different events even though they share the site token.
-        """
-        self.remote_ops[op] = self.remote_ops.get(op, 0) + 1
-        for fault in self._armed(op, self.remote_ops[op]):
-            if fault.kind in _NET_KINDS:
-                fault.remaining -= 1
-                return fault
-        return None
-
-    @property
-    def net_only(self) -> bool:
-        """Whether every fault in the plan is a ``net_*`` kind.
-
-        Net-only plans perturb only the remote boundary — records still
-        come out exactly as a clean run would compute them — so the
-        fleet keeps singleflight sharing and cross-daemon claims enabled
-        for them (job- or put-addressed plans disable both).
-        """
-        return all(f.kind in _NET_KINDS for f in self.faults)
 
     def disarm_job(self, seq: int) -> None:
         """Disarm every ``@job`` fault addressed at ``seq`` (the parent
@@ -340,13 +274,6 @@ def forced_blowup(seq: int) -> bool:
 def note_put() -> bool:
     """Injection point: a cache entry was just written; corrupt it?"""
     return _ACTIVE is not None and _ACTIVE.note_put()
-
-
-def note_remote(op: str) -> Optional[Fault]:
-    """Injection point: the remote client is about to run op ``op``."""
-    if _ACTIVE is None:
-        return None
-    return _ACTIVE.note_remote(op)
 
 
 def disarm_job(seq: int) -> None:

@@ -12,11 +12,8 @@ provides an equivalent engine that
   singleflight dedup per content signature
   (:mod:`repro.runtime.fleet`),
 * memoizes supernode DP emissions in a tiered content-addressed store —
-  in-process LRU over a cross-process-safe sqlite file, with an
-  optional remote HTTP shard (a ``ddbdd serve --cache-root`` daemon)
-  as the slowest rung, fault-hardened behind per-endpoint circuit
-  breakers (:mod:`repro.runtime.tiers`, :mod:`repro.runtime.remote`,
-  :mod:`repro.runtime.signature`),
+  an in-process LRU over a cross-process-safe sqlite file
+  (:mod:`repro.runtime.tiers`, :mod:`repro.runtime.signature`),
 * coordinates whole *fleets* of daemons sharing one cache root through
   generation-stamped sqlite claim leases, so each content signature is
   computed exactly once fleet-wide even across process boundaries
@@ -42,15 +39,6 @@ from repro.runtime.fleet import (
     WaveItem,
     get_fleet,
     reset_fleet,
-)
-from repro.runtime.remote import (
-    BreakerPolicy,
-    CircuitBreaker,
-    RemoteClient,
-    RemoteResult,
-    client_for,
-    remote_snapshot,
-    reset_remote_clients,
 )
 from repro.runtime.tiers import (
     DEFAULT_MAX_ENTRIES,
@@ -106,13 +94,6 @@ __all__ = [
     "WaveItem",
     "get_fleet",
     "reset_fleet",
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "RemoteClient",
-    "RemoteResult",
-    "client_for",
-    "remote_snapshot",
-    "reset_remote_clients",
     "EmissionCell",
     "EmissionRecord",
     "FailureReport",

@@ -75,7 +75,6 @@ from repro.runtime.pool import (
     SupernodeJob,
     run_supernode_job_guarded,
 )
-from repro.runtime.remote import client_for
 from repro.runtime.signature import dag_size
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import (
@@ -146,7 +145,6 @@ class FleetRequest:
     tele: Optional[CacheTelemetry] = None
     runner: Optional[JobRunner] = None
     events: List[PoolFailureEvent] = field(default_factory=list)
-    _net_only: Optional[bool] = field(default=None, repr=False, compare=False)
 
     @property
     def weight(self) -> int:
@@ -161,59 +159,27 @@ class FleetRequest:
         return self.store is not None and self.config.cache == "readwrite"
 
     @property
-    def net_only_faults(self) -> bool:
-        """Whether the request's fault plan perturbs *only* the remote
-        boundary (``net_*`` kinds).  Such plans never change what a job
-        computes — records come out exactly as a clean run's — so they
-        do not poison sharing the way job/put-addressed plans do."""
-        if self._net_only is None:
-            if self.config.faults is None:
-                self._net_only = False
-            else:
-                try:
-                    plan = fault_mod.FaultPlan.parse(self.config.faults)
-                    self._net_only = plan.net_only
-                except fault_mod.FaultPlanError:
-                    self._net_only = False
-        return self._net_only
-
-    @property
     def follows(self) -> bool:
         """Whether this request may splice other requests' results.
-        Job-fault-armed requests never follow: their job-sequence fault
-        addressing assumes they execute their own jobs.  Net-only plans
-        follow normally — they only perturb the remote boundary."""
-        return self.config.faults is None or self.net_only_faults
+        Fault-armed requests never follow: their job-sequence fault
+        addressing assumes they execute their own jobs."""
+        return self.config.faults is None
 
     @property
     def shares(self) -> bool:
         """Whether this request's results may be handed to followers.
-        Job-fault-armed results are never shared — an injected fault
-        must not leak beyond the request that asked for it.  Net-only
-        plans share normally: their records are byte-identical to a
-        clean run's."""
-        return self.config.faults is None or self.net_only_faults
+        Fault-armed results are never shared — an injected fault must
+        not leak beyond the request that asked for it."""
+        return self.config.faults is None
 
     # ------------------------------------------------------------------
-    def store_get(
-        self, key: str, job: Optional[SupernodeJob] = None
-    ) -> Optional[EmissionRecord]:
+    def store_get(self, key: str) -> Optional[EmissionRecord]:
         assert self.store is not None
-        verify = None
-        name = ""
-        if job is not None:
-            bound_job = job
-            verify = lambda record: self.verify(record, bound_job)  # noqa: E731
-            name = bound_job.name
-        return self.store.get(
-            key, self.tele, promote_disk=self.writable, verify=verify, job=name
-        )
+        return self.store.get(key, self.tele)
 
-    def store_put(
-        self, key: str, record: EmissionRecord, job_name: str = ""
-    ) -> bool:
+    def store_put(self, key: str, record: EmissionRecord) -> bool:
         assert self.store is not None
-        return self.store.put(key, record, self.tele, job=job_name)
+        return self.store.put(key, record, self.tele)
 
     def note_claim(self, event: str, n: int = 1) -> None:
         """Bump one cross-daemon claim counter on the run's stats."""
@@ -263,20 +229,6 @@ class FleetScheduler:
                 store.memory.max_entries = max(
                     1, min(DEFAULT_MEMORY_ENTRIES, config.cache_max_entries)
                 )
-            # The tier-3 remote client follows the latest request's
-            # configuration: attach (or retune) the process-wide client
-            # for the configured shard URL, or detach when the request
-            # runs local-only.  Clients are registered per URL, so
-            # re-attaching never resets breaker state.
-            if config.cache_remote:
-                store.remote = client_for(
-                    config.cache_remote,
-                    deadline_s=config.remote_deadline_s,
-                    retries=config.remote_retries,
-                    breaker_spec=config.remote_breaker,
-                )
-            else:
-                store.remote = None
         return store
 
     @contextmanager
@@ -467,8 +419,8 @@ class FleetScheduler:
     def _claims_enabled(self, req: FleetRequest) -> bool:
         """Cross-daemon claims apply to shareable read-write runs: the
         tier-2 store is the coordination medium, so read-only and
-        cache-off runs are out, as are job-fault-armed runs (whose
-        results are never shareable)."""
+        cache-off runs are out, as are fault-armed runs (whose results
+        are never shareable)."""
         return req.writable and req.shares and req.config.cache_claims
 
     @staticmethod
@@ -562,7 +514,7 @@ class FleetScheduler:
                     outcome = self._compute_single(req, item.job)
                 if outcome.ok and req.writable:
                     with req.stats.stage("cache"):
-                        if req.store_put(item.key, outcome.record, item.name):
+                        if req.store_put(item.key, outcome.record):
                             req.stats.cache_puts += 1
                 with self._lock:
                     self.jobs_computed += 1
@@ -587,7 +539,7 @@ class FleetScheduler:
         record: Optional[EmissionRecord] = None
         if req.readable:
             with req.stats.stage("cache"):
-                record = req.store_get(item.key, item.job)
+                record = req.store_get(item.key)
                 if record is not None and req.config.verify_level >= 1:
                     if not req.verify(record, item.job):
                         req.store_invalidate(item.key)
@@ -644,7 +596,7 @@ class FleetScheduler:
         for (item, flight), outcome in zip(leaders, outcomes):
             if outcome.ok and req.writable and item.key is not None:
                 with req.stats.stage("cache"):
-                    if req.store_put(item.key, outcome.record, item.name):
+                    if req.store_put(item.key, outcome.record):
                         req.stats.cache_puts += 1
             # Breach outcomes go back to the engine's degradation ladder
             # un-published as results but the flight must still release:
@@ -692,7 +644,7 @@ class FleetScheduler:
             outcome = self._compute_single(req, item.job)
         if outcome.ok and req.writable and item.key is not None:
             with req.stats.stage("cache"):
-                if req.store_put(item.key, outcome.record, item.name):
+                if req.store_put(item.key, outcome.record):
                     req.stats.cache_puts += 1
         with self._lock:
             self.jobs_computed += 1

@@ -299,17 +299,10 @@ def wavefront_supernodes(
         finally:
             if private_runner is not None:
                 private_runner.close()
-    if store is not None and tele is not None:
+    if tele is not None:
         stats.cache_tiers = tele.as_dict()
         stats.cache_corruptions += tele.total("corruptions")
         stats.cache_evictions += tele.total("evictions")
-        stats.failures.extend(tele.failures)
-        if store.remote is not None:
-            stats.remote = {
-                "url": store.remote.url,
-                "ops": dict(tele.remote),
-                "breaker": store.remote.breaker_states(),
-            }
 
     # Phase B: splice in the serial topological order.
     supernode_results: List[SupernodeResult] = []

@@ -41,9 +41,8 @@ from repro._version import __version__
 #:
 #: Schema 3 (remote cache tier + cross-daemon claims): ``cache_tiers``
 #: grew a fourth ``"remote"`` tier, the payload grew the ``remote``
-#: block (the run's remote-op breakdown over
-#: :data:`~repro.runtime.tiers.REMOTE_OP_KEYS` plus the endpoint URL
-#: and end-of-run breaker states; ``{}`` when no remote tier is
+#: block (the run's remote-op breakdown plus the endpoint URL and
+#: end-of-run breaker states; ``{}`` when no remote tier is
 #: configured) and the ``claims`` map (cross-daemon singleflight
 #: counters — ``won`` / ``held`` / ``hits`` / ``reaped`` /
 #: ``released``; ``{}`` when claims never engaged), and ``failures``
@@ -54,7 +53,12 @@ from repro._version import __version__
 #: ``"shards"`` tier, leaving ``memory``, ``sqlite`` and ``remote``.
 #: ``dedup_hits`` also counts a supernode that followed an earlier copy
 #: of its signature in the same request's wave.
-STATS_SCHEMA = 4
+#:
+#: Schema 5 (remote tier removed): ``cache_tiers`` lost its
+#: ``"remote"`` tier, leaving ``memory`` and ``sqlite``; the payload
+#: lost the ``remote`` block, and ``failures`` no longer carries
+#: ``kind="remote"`` rows.
+STATS_SCHEMA = 5
 
 #: The stable top-level key set of :meth:`RuntimeStats.as_dict`.
 #: Consumers may rely on these keys existing with these meanings for as
@@ -77,7 +81,6 @@ RUNTIME_STATS_KEYS = (
     "cache_tiers",
     "dedup_hits",
     "dedup_retries",
-    "remote",
     "claims",
     "failures",
 )
@@ -130,27 +133,19 @@ class FailureReport:
         the chunk for pool failures).
     kind:
         ``"budget"`` (the job breached its :class:`~repro.resilience.
-        budget.Budget` and went down the degradation ladder), ``"pool"``
-        (a worker died and the chunk was retried/serialized) or
-        ``"remote"`` (a remote cache-tier op failed and the tier walk
-        degraded to local tiers).
+        budget.Budget` and went down the degradation ladder) or
+        ``"pool"`` (a worker died and the chunk was retried/serialized).
     reason:
         Breach axis (``"deadline"`` / ``"nodes"``) for budget failures;
-        the observed executor error for pool failures.  For remote
-        failures, the failure slug: ``"timeout"`` / ``"refused"`` /
-        ``"unreachable"`` / ``"http_error"`` / ``"garbage"`` for a
-        failed op, ``"breaker_open"`` for a circuit-breaker trip (one
-        row per outage window, not per skipped op), ``"quarantined"``
-        for a fetched record rejected by the ``verify_record`` spot-sim.
+        the observed executor error for pool failures.
     retries:
-        Re-execution attempts spent recovering (ladder rungs tried,
-        pool respawn rounds, or remote transport retries).
+        Re-execution attempts spent recovering (ladder rungs tried or
+        pool respawn rounds).
     rung:
         For budget failures, the degradation-ladder rung that produced
         the final cover (``"retry"`` means the clean re-run succeeded
         and nothing was degraded).  For pool failures, the recovery
-        action (``"respawn"`` or ``"serial"``).  For remote failures,
-        the direction of the failed op (``"get"`` / ``"put"``).
+        action (``"respawn"`` or ``"serial"``).
     spent_s / spent_nodes:
         Budget consumed at the moment of the breach.
     verified:
@@ -302,12 +297,6 @@ class RuntimeStats:
     dedup_retries:
         Singleflight waits that ended in a failed or unshareable flight,
         forcing this run to recompute independently.
-    remote:
-        The run's remote-tier activity: ``{"url": ..., "ops": {...},
-        "breaker": {"get": state, "put": state}}`` with ``ops`` over the
-        :data:`~repro.runtime.tiers.REMOTE_OP_KEYS` vocabulary and
-        ``breaker`` the endpoint's breaker states at the end of the run.
-        Empty when no remote tier is configured.
     claims:
         Cross-daemon singleflight counters: ``won`` (leases this run
         acquired and computed under), ``held`` (keys found leased to
@@ -343,7 +332,6 @@ class RuntimeStats:
     cache_tiers: Dict[str, Dict[str, int]] = field(default_factory=dict)
     dedup_hits: int = 0
     dedup_retries: int = 0
-    remote: Dict[str, object] = field(default_factory=dict)
     claims: Dict[str, int] = field(default_factory=dict)
     failures: List[FailureReport] = field(default_factory=list)
     pass_observer: Optional[Callable[[PassTelemetry], None]] = field(
@@ -408,7 +396,6 @@ class RuntimeStats:
             },
             "dedup_hits": self.dedup_hits,
             "dedup_retries": self.dedup_retries,
-            "remote": dict(self.remote),
             "claims": dict(self.claims),
             "failures": [f.as_dict() for f in self.failures],
         }
@@ -451,17 +438,6 @@ class RuntimeStats:
         if self.dedup_hits or self.dedup_retries:
             lines.append(
                 f"  dedup hits={self.dedup_hits} retries={self.dedup_retries}"
-            )
-        if self.remote:
-            ops = self.remote.get("ops", {})
-            busy_remote = {
-                op: n for op, n in ops.items() if n
-            } if isinstance(ops, dict) else {}
-            breaker = self.remote.get("breaker", {})
-            detail = " ".join(f"{op}={n}" for op, n in busy_remote.items())
-            lines.append(
-                f"  remote {self.remote.get('url', '?')} "
-                f"breaker={breaker} {detail}".rstrip()
             )
         if self.claims:
             detail = " ".join(f"{k}={v}" for k, v in sorted(self.claims.items()))

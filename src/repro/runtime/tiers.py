@@ -13,27 +13,14 @@ of tiers behind one interface:
   WAL-mode sqlite file per cache root.  Every write is a transaction, so
   two daemons sharing a ``--cache-dir`` cannot tear or double-apply an
   entry; reads bump a ``touched`` column for LRU eviction.
-* **Tier 3 — remote** (:class:`~repro.runtime.remote.RemoteClient`,
-  attached via :attr:`TieredEmissionCache.remote`): a fault-hardened
-  HTTP shard behind ``/v1/cache/<sig>`` on a serve daemon.  Walked
-  last on reads — and only when the caller supplies a ``verify``
-  callback, because a remote record must pass the ``verify_record``
-  spot-simulation *before* it is promoted into tiers 1/2; a record that
-  fails is quarantined (never stored, never returned) and the client's
-  circuit breaker is fed.  Writes fan out best-effort after the local
-  tiers.  Remote faults — timeout, refusal, garbage, breaker trips —
-  degrade the walk to local tiers silently; they surface only as
-  ``kind="remote"`` :class:`~repro.runtime.stats.FailureReport` rows and
-  telemetry counters, never as errors.
 
-:meth:`TieredEmissionCache.get` walks memory → sqlite → remote and
-promotes hits upward; :meth:`TieredEmissionCache.put` writes sqlite
-first (the durable copy), then memory, then the remote fan-out.
-Per-tier hit/miss/put/eviction/corruption/promotion counters are
-recorded both on the tiers themselves (process-lifetime, for
-``/metrics``) and into an optional per-run :class:`CacheTelemetry`,
-which the engine folds into
-:class:`~repro.runtime.stats.RuntimeStats.cache_tiers`.
+:meth:`TieredEmissionCache.get` walks memory → sqlite and promotes a
+sqlite hit into memory; :meth:`TieredEmissionCache.put` writes sqlite
+first (the durable copy), then memory.  Per-tier
+hit/miss/put/eviction/corruption/promotion counters are recorded both
+on the tiers themselves (process-lifetime, for ``/metrics``) and into
+an optional per-run :class:`CacheTelemetry`, which the engine folds
+into :class:`~repro.runtime.stats.RuntimeStats.cache_tiers`.
 
 The tier-2 store also carries the **cross-daemon singleflight claim
 table**: transactional claim-or-wait rows with generation-stamped
@@ -57,18 +44,11 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import faults as fault_mod
 from repro.runtime.emission import EmissionRecord, RecordError
-from repro.runtime.remote import (
-    FAULT_BREAKER_OPEN,
-    FAULT_GARBAGE,
-    RemoteClient,
-    RemoteResult,
-)
 from repro.runtime.signature import SIGNATURE_VERSION
-from repro.runtime.stats import FailureReport
 
 logger = logging.getLogger(__name__)
 
@@ -76,27 +56,10 @@ logger = logging.getLogger(__name__)
 #: ``tier`` label of the ``ddbdd_cache_tier_ops_total`` metric family).
 TIER_MEMORY = "memory"
 TIER_SQLITE = "sqlite"
-TIER_REMOTE = "remote"
-TIER_NAMES = (TIER_MEMORY, TIER_SQLITE, TIER_REMOTE)
+TIER_NAMES = (TIER_MEMORY, TIER_SQLITE)
 
 #: Stable per-tier counter names.
 TIER_OPS = ("hits", "misses", "puts", "evictions", "corruptions", "promotions")
-
-#: Stable keys of the per-run remote-op breakdown
-#: (:attr:`CacheTelemetry.remote`, folded into ``RuntimeStats.remote``):
-#: one counter per failure slug the client can report, plus transport
-#: ``retries`` spent and breaker ``trips`` observed by this run.
-REMOTE_OP_KEYS = (
-    "timeout",
-    "refused",
-    "unreachable",
-    "http_error",
-    "garbage",
-    "breaker_open",
-    "quarantined",
-    "retries",
-    "trips",
-)
 
 #: Default entry cap of the persistent store; at a few KB per record
 #: this bounds it to tens of MB.
@@ -114,6 +77,10 @@ _EVICT_EVERY = 64
 #: before giving up (degrading to a miss / dropped put).
 _BUSY_TIMEOUT_MS = 5000
 
+#: Pause between attempts at a new file's one-time setup
+#: (:meth:`SqliteTier._setup`).
+_SETUP_RETRY_S = 0.01
+
 #: Primary result codes of a damaged database file: ``SQLITE_CORRUPT``
 #: and ``SQLITE_NOTADB``.
 _DAMAGE_CODES = (11, 26)
@@ -126,15 +93,31 @@ _DAMAGE_MESSAGES = (
     "file is encrypted or is not a database",
 )
 
+#: Primary result codes of a lock another connection holds,
+#: ``SQLITE_BUSY`` and ``SQLITE_LOCKED``, and their messages.
+_LOCK_CODES = (5, 6)
+_LOCK_MESSAGES = ("database is locked", "database table is locked")
+
+
+def _reports(exc: sqlite3.Error, codes: Tuple[int, ...], messages: Tuple[str, ...]) -> bool:
+    """Whether ``exc`` carries one of the primary result ``codes`` or,
+    where it has no code, one of their ``messages``."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    if code is not None:
+        return (code & 0xFF) in codes
+    message = str(exc).lower()
+    return any(text in message for text in messages)
+
 
 def _is_damage(exc: sqlite3.Error) -> bool:
     """Whether ``exc`` reports a damaged database file, as opposed to a
     lock held past the busy timeout or another passing failure."""
-    code = getattr(exc, "sqlite_errorcode", None)
-    if code is not None:
-        return (code & 0xFF) in _DAMAGE_CODES
-    message = str(exc).lower()
-    return any(text in message for text in _DAMAGE_MESSAGES)
+    return _reports(exc, _DAMAGE_CODES, _DAMAGE_MESSAGES)
+
+
+def _is_lock(exc: sqlite3.Error) -> bool:
+    """Whether ``exc`` reports a lock another connection holds."""
+    return _reports(exc, _LOCK_CODES, _LOCK_MESSAGES)
 
 
 class CacheTelemetry:
@@ -150,60 +133,11 @@ class CacheTelemetry:
         self.tiers: Dict[str, Dict[str, int]] = {
             tier: {op: 0 for op in TIER_OPS} for tier in TIER_NAMES
         }
-        #: Per-run remote-op breakdown (:data:`REMOTE_OP_KEYS` vocabulary).
-        self.remote: Dict[str, int] = {key: 0 for key in REMOTE_OP_KEYS}
-        #: ``kind="remote"`` failure rows this run's remote traffic
-        #: produced; the engine splices them into ``RuntimeStats.failures``.
-        self.failures: List[FailureReport] = []
 
     def note(self, tier: str, op: str, n: int = 1) -> None:
         """Record ``n`` occurrences of ``op`` on ``tier``."""
         if n:
             self.tiers[tier][op] += n
-
-    def note_remote_result(self, result: RemoteResult, op: str, job: str) -> None:
-        """Fold one :class:`~repro.runtime.remote.RemoteResult` into the
-        per-run remote breakdown and failure rows.
-
-        Policy: one ``kind="remote"`` row per *failed logical op* and
-        one per breaker trip; breaker-open skips are counted but silent
-        (a dead shard must not flood the failure list with one row per
-        skipped lookup)."""
-        self.remote["retries"] += result.retries
-        if result.fault is None:
-            return
-        if result.fault == FAULT_BREAKER_OPEN:
-            self.remote["breaker_open"] += 1
-            return
-        self.remote[result.fault] += 1
-        self.failures.append(
-            FailureReport(
-                job=job,
-                seq=0,
-                kind="remote",
-                reason=result.fault,
-                retries=result.retries,
-                rung=op,
-            )
-        )
-        if result.tripped:
-            self.note_breaker_trip(op, job)
-
-    def note_breaker_trip(self, op: str, job: str) -> None:
-        """Record one breaker trip (closed/half-open → open) as a
-        ``reason="breaker_open"`` failure row — the single row that
-        marks the start of a degrade-to-local outage window."""
-        self.remote["trips"] += 1
-        self.failures.append(
-            FailureReport(
-                job=job,
-                seq=0,
-                kind="remote",
-                reason=FAULT_BREAKER_OPEN,
-                retries=0,
-                rung=op,
-            )
-        )
 
     def total(self, op: str) -> int:
         """Sum of ``op`` across every tier."""
@@ -325,6 +259,26 @@ class SqliteTier:
         try:
             conn.execute("PRAGMA synchronous=NORMAL")
             if not self._ready:
+                self._setup(conn)
+                self._ready = True
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    @staticmethod
+    def _setup(conn: sqlite3.Connection) -> None:
+        """Give the database file its WAL journal mode and tables.
+
+        When several stores set one new file up together, ``PRAGMA
+        journal_mode=WAL`` fails with ``database is locked`` at once
+        rather than waiting out the busy timeout.  A lock error is
+        therefore retried until that timeout runs out; damage and any
+        other error are raised at once.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
                 conn.execute("PRAGMA journal_mode=WAL")
                 conn.execute(
                     "CREATE TABLE IF NOT EXISTS records ("
@@ -339,11 +293,11 @@ class SqliteTier:
                     "CREATE TABLE IF NOT EXISTS claim_gen ("
                     "id INTEGER PRIMARY KEY CHECK (id = 1), gen INTEGER NOT NULL)"
                 )
-                self._ready = True
-        except BaseException:
-            conn.close()
-            raise
-        return conn
+                return
+            except sqlite3.Error as exc:
+                if not _is_lock(exc) or time.monotonic() >= deadline:
+                    raise
+            time.sleep(_SETUP_RETRY_S)
 
     def _heal(self, exc: sqlite3.Error) -> int:
         """Drop the database file (and WAL side-files) wholesale if
@@ -710,38 +664,16 @@ class TieredEmissionCache:
         root: Union[str, Path],
         max_entries: int = DEFAULT_MAX_ENTRIES,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        remote: Optional[RemoteClient] = None,
     ) -> None:
         self.root = Path(root)
         self.memory = MemoryTier(min(memory_entries, max_entries))
         self.disk = SqliteTier(root, max_entries=max_entries)
-        #: Optional tier-3 remote shard client (attached by the fleet's
-        #: store registry when a run configures ``--cache-remote``).
-        self.remote = remote
 
     # ------------------------------------------------------------------
     def get(
-        self,
-        key: str,
-        tele: Optional[CacheTelemetry] = None,
-        promote_disk: bool = True,
-        verify: Optional[Callable[[EmissionRecord], bool]] = None,
-        job: str = "",
+        self, key: str, tele: Optional[CacheTelemetry] = None
     ) -> Optional[EmissionRecord]:
-        """Walk memory → sqlite → remote; promote hits upward.
-
-        ``promote_disk`` gates the remote→sqlite promotion write —
-        read-mode runs (``cache="read"``) must never create files, so
-        they promote remote hits into memory only.
-
-        The remote tier is walked only when a ``verify`` callback is
-        supplied: a record fetched over the network must pass the
-        ``verify_record`` spot-simulation *before* it is promoted into
-        the local tiers or returned.  A record that fails is quarantined
-        — dropped, counted as a remote corruption, and fed back to the
-        client's circuit breaker — and the walk reports a miss.  ``job``
-        labels any remote failure rows with the requesting supernode.
-        """
+        """Walk memory → sqlite; promote a sqlite hit into memory."""
         record = self.memory.get(key)
         if record is not None:
             if tele:
@@ -753,76 +685,30 @@ class TieredEmissionCache:
         record, corrupt = self.disk.get(key)
         if tele:
             tele.note(TIER_SQLITE, "corruptions", corrupt)
-        if record is not None:
+        if record is None:
             if tele:
-                tele.note(TIER_SQLITE, "hits")
-                tele.note(TIER_MEMORY, "promotions")
-            evicted = self.memory.put(key, record)
-            if tele:
-                tele.note(TIER_MEMORY, "evictions", evicted)
-            return record
+                tele.note(TIER_SQLITE, "misses")
+            return None
         if tele:
-            tele.note(TIER_SQLITE, "misses")
-
-        if self.remote is not None and verify is not None:
-            result = self.remote.get(key)
-            if tele:
-                tele.note_remote_result(result, "get", job)
-            if result.record is not None:
-                if verify(result.record):
-                    if tele:
-                        tele.note(TIER_REMOTE, "hits")
-                    if promote_disk:
-                        _, _, evicted = self.disk.put(key, result.record)
-                        if tele:
-                            tele.note(TIER_SQLITE, "promotions")
-                            tele.note(TIER_SQLITE, "evictions", evicted)
-                    evicted = self.memory.put(key, result.record)
-                    if tele:
-                        tele.note(TIER_MEMORY, "promotions")
-                        tele.note(TIER_MEMORY, "evictions", evicted)
-                    return result.record
-                # Quarantine: structurally valid but semantically wrong —
-                # an adversarial or bit-rotted shard.  Never promoted,
-                # never returned; the breaker hears about it.
-                tripped = self.remote.note_quarantine()
-                if tele:
-                    tele.note(TIER_REMOTE, "corruptions")
-                    tele.remote["quarantined"] += 1
-                    tele.failures.append(
-                        FailureReport(
-                            job=job,
-                            seq=0,
-                            kind="remote",
-                            reason="quarantined",
-                            retries=0,
-                            rung="get",
-                        )
-                    )
-                    if tripped:
-                        tele.note_breaker_trip("get", job)
-            else:
-                if tele:
-                    if result.fault == FAULT_GARBAGE:
-                        tele.note(TIER_REMOTE, "corruptions")
-                    tele.note(TIER_REMOTE, "misses")
-        return None
+            tele.note(TIER_SQLITE, "hits")
+            tele.note(TIER_MEMORY, "promotions")
+        evicted = self.memory.put(key, record)
+        if tele:
+            tele.note(TIER_MEMORY, "evictions", evicted)
+        return record
 
     def put(
         self,
         key: str,
         record: EmissionRecord,
         tele: Optional[CacheTelemetry] = None,
-        job: str = "",
     ) -> bool:
-        """Write-through: sqlite (durable) first, then memory, then a
-        best-effort remote fan-out.
+        """Write-through: sqlite (durable) first, then memory.
 
         A torn tier-2 write (injected ``corrupt_shard`` fault) skips the
         memory population — the semantic is "the writer died mid-commit",
         and a phantom tier-1 copy would hide the damage from the very
-        read that is supposed to detect and heal it.  It skips the
-        remote fan-out too, for the same reason.
+        read that is supposed to detect and heal it.
         """
         stored, torn, evicted = self.disk.put(key, record)
         if tele:
@@ -835,11 +721,6 @@ class TieredEmissionCache:
             if tele:
                 tele.note(TIER_MEMORY, "puts")
                 tele.note(TIER_MEMORY, "evictions", mem_evicted)
-            if self.remote is not None:
-                result = self.remote.put(key, record)
-                if tele:
-                    tele.note(TIER_REMOTE, "puts", 1 if result.stored else 0)
-                    tele.note_remote_result(result, "put", job)
         return True
 
     def invalidate(self, key: str, tele: Optional[CacheTelemetry] = None) -> None:
@@ -854,12 +735,10 @@ __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DEFAULT_MEMORY_ENTRIES",
     "MemoryTier",
-    "REMOTE_OP_KEYS",
     "SqliteTier",
     "TieredEmissionCache",
     "TIER_MEMORY",
     "TIER_NAMES",
     "TIER_OPS",
-    "TIER_REMOTE",
     "TIER_SQLITE",
 ]

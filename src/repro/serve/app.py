@@ -18,21 +18,10 @@ Endpoints (all JSON; see :mod:`repro.serve.protocol` for the bodies):
 ``GET /v1/jobs/<id>/events``  newline-JSON event stream (chunked); replays
                          the job's history, then follows it live until the
                          job reaches a terminal state
-``GET /v1/cache/<sig>``  content-addressed emission-record lookup against
-                         this daemon's ``--cache-root`` (404 on miss or
-                         when no root is configured)
-``PUT /v1/cache/<sig>``  store one emission record (structurally
-                         validated; garbage → 400, never stored)
-``GET /healthz``         liveness: version, uptime, queue gauges, cache
-                         tier reachability, remote breaker states
+``GET /healthz``         liveness: version, uptime, queue gauges
 ``GET /metrics``         aggregated telemetry — JSON by default,
                          Prometheus text with ``?format=prometheus``
 =======================  ====================================================
-
-The cache endpoints make any daemon a **remote shard** for the tier-3
-client of :mod:`repro.runtime.remote`: a warm box's cache feeds a fleet
-of cold ones.  The serving store never chains to another remote (its
-``remote`` slot stays ``None``), so shard topologies cannot loop.
 
 Shutdown is drain-based: SIGTERM (or :meth:`SynthesisServer.request_shutdown`)
 stops admission (submits get a structured 503), lets running and queued
@@ -95,9 +84,6 @@ class ServerConfig:
     max_queue_depth: int = 256
     #: Terminal jobs kept addressable before eviction.
     keep_finished: int = 512
-    #: Cache root served at ``/v1/cache/<sig>`` (``None`` disables the
-    #: cache endpoints; they answer 404 ``cache_disabled``).
-    cache_root: Optional[str] = None
 
 
 class SynthesisServer:
@@ -132,9 +118,6 @@ class SynthesisServer:
         self._stop: Optional[asyncio.Event] = None
         self._notify_pending = False
         self._tasks: "set[asyncio.Task[None]]" = set()
-        # The shard store behind /v1/cache (lazy; loop thread creates it,
-        # to_thread workers only call its thread-safe get/put).
-        self._cache_store: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -358,18 +341,10 @@ class SynthesisServer:
                 raise ProtocolError(405, "method_not_allowed", "use POST")
             await self._handle_submit(body, writer)
             return
-        if path.startswith("/v1/cache/"):
-            if method not in ("GET", "PUT"):
-                raise ProtocolError(405, "method_not_allowed", "use GET or PUT")
-            await self._handle_cache(method, path[len("/v1/cache/") :], body, writer)
-            return
         if method != "GET":
             raise ProtocolError(405, "method_not_allowed", "use GET")
         if path == "/healthz":
-            payload = self._healthz()
-            payload["cache_tiers"] = await asyncio.to_thread(self._cache_health)
-            payload["remote_breakers"] = self._remote_breakers()
-            await self._send_json(writer, 200, payload)
+            await self._send_json(writer, 200, self._healthz())
             return
         if path == "/metrics":
             await self._handle_metrics(query, headers, writer)
@@ -403,98 +378,6 @@ class SynthesisServer:
             "rejected": totals["rejected"],
         }
 
-    # ------------------------------------------------------------------
-    # the cache shard (/v1/cache/<sig>)
-    # ------------------------------------------------------------------
-    _HEX = frozenset("0123456789abcdef")
-
-    def _shard_store(self) -> Optional[Any]:
-        """The tiered store behind the cache endpoints (lazy), or
-        ``None`` when this daemon serves no shard.
-
-        Deliberately *not* shared with the fleet's per-root store
-        registry: the serving store must never grow a ``remote`` client
-        of its own (shard chains could loop), and job-side requests
-        retune the registry's remote slot per submit.
-        """
-        if self.config.cache_root is None:
-            return None
-        if self._cache_store is None:
-            from repro.runtime.tiers import TieredEmissionCache
-
-            self._cache_store = TieredEmissionCache(self.config.cache_root)
-        return self._cache_store
-
-    async def _handle_cache(
-        self, method: str, sig: str, body: bytes, writer: asyncio.StreamWriter
-    ) -> None:
-        store = self._shard_store()
-        if store is None:
-            raise ProtocolError(
-                404,
-                "cache_disabled",
-                "this daemon serves no cache shard (start with --cache-root)",
-            )
-        if len(sig) != 64 or not set(sig) <= self._HEX:
-            raise ProtocolError(
-                400,
-                "invalid_signature",
-                "cache keys are 64-char lowercase hex emission signatures",
-            )
-        if method == "GET":
-            record = await asyncio.to_thread(store.get, sig)
-            if record is None:
-                raise ProtocolError(404, "cache_miss", f"no record for {sig}")
-            await self._send_json(writer, 200, record.to_json_obj())
-            return
-        from repro.runtime.emission import EmissionRecord, RecordError
-
-        try:
-            record = EmissionRecord.from_json_obj(json.loads(body.decode("utf-8")))
-        except (ValueError, RecordError, UnicodeDecodeError) as exc:
-            raise ProtocolError(
-                400,
-                "invalid_record",
-                f"body is not a structurally valid emission record: {exc}",
-            ) from exc
-        stored = await asyncio.to_thread(store.put, sig, record)
-        if not stored:
-            raise ProtocolError(
-                503, "cache_unavailable", "the shard store rejected the write"
-            )
-        await self._send_json(
-            writer, 200, {"schema": PROTOCOL_SCHEMA, "stored": True, "key": sig}
-        )
-
-    def _cache_health(self) -> Dict[str, object]:
-        """Cache-tier reachability for ``/healthz`` (worker thread)."""
-        store = self._shard_store()
-        if store is None:
-            return {"configured": False}
-        out: Dict[str, object] = {
-            "configured": True,
-            "root": str(store.root),
-            "memory_entries": len(store.memory),
-        }
-        try:
-            out["sqlite_entries"] = len(store.disk)
-            out["sqlite_ok"] = True
-        except Exception:  # reachability probe: report, never raise
-            out["sqlite_ok"] = False
-        return out
-
-    def _remote_breakers(self) -> Dict[str, Dict[str, str]]:
-        """Breaker state of every remote client this process talks to."""
-        from repro.runtime.remote import remote_snapshot
-
-        return {
-            url: {
-                op: str(br.get("state", "?"))
-                for op, br in dict(snap.get("breakers", {})).items()
-            }
-            for url, snap in remote_snapshot().items()
-        }
-
     async def _handle_metrics(
         self,
         query: Dict[str, "list[str]"],
@@ -519,13 +402,8 @@ class SynthesisServer:
         # Process-lifetime fleet counters (shared across every job this
         # daemon ran): singleflight dedup totals, in-flight gauges.
         from repro.runtime.fleet import get_fleet
-        from repro.runtime.remote import remote_snapshot
 
         payload["fleet"] = get_fleet().snapshot()
-        # Live remote-client telemetry (lifetime ops + breaker states),
-        # keyed by shard URL — complements the per-job sums the registry
-        # folds from stats["remote"].
-        payload["remote"] = remote_snapshot()
         await self._send_json(writer, 200, payload)
 
     async def _handle_submit(
@@ -650,6 +528,7 @@ def _execute(
     from repro.flow import run_flow
     from repro.network import network_to_blif
 
+    assert request.net is not None  # dropped only once the job finishes
     config = request.config
     if config.fleet_weight == 1 and request.priority > 0:
         # Queue priority doubles as the fleet's fair-share admission

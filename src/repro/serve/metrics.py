@@ -55,9 +55,6 @@ class MetricsRegistry:
         self.dedup: Dict[str, int] = {k: 0 for k in _DEDUP_COUNTERS}
         #: tier name -> op name -> count (schema 2 ``cache_tiers``).
         self.cache_tiers: Dict[str, Dict[str, int]] = {}
-        #: Remote-tier op outcomes summed over jobs (schema 3
-        #: ``remote.ops``: timeout/refused/garbage/... counters).
-        self.remote_ops: Dict[str, int] = {}
         #: Cross-daemon singleflight claim events summed over jobs
         #: (schema 3 ``claims``: won/held/hits/reaped/released).
         self.claims: Dict[str, int] = {}
@@ -90,10 +87,6 @@ class MetricsRegistry:
             cell = self.cache_tiers.setdefault(str(tier), {})
             for op, count in dict(ops).items():
                 cell[str(op)] = cell.get(str(op), 0) + int(count)
-        remote = stats.get("remote", {})
-        if isinstance(remote, Mapping):
-            for op, count in dict(remote.get("ops", {})).items():
-                self.remote_ops[str(op)] = self.remote_ops.get(str(op), 0) + int(count)
         for event, count in dict(stats.get("claims", {})).items():
             self.claims[str(event)] = self.claims.get(str(event), 0) + int(count)
         for name, seconds in dict(stats.get("stage_seconds", {})).items():
@@ -140,7 +133,6 @@ class MetricsRegistry:
                 tier: dict(sorted(ops.items()))
                 for tier, ops in sorted(self.cache_tiers.items())
             },
-            "remote_ops": dict(sorted(self.remote_ops.items())),
             "claims": dict(sorted(self.claims.items())),
             "bdd_neg_free": self.bdd_neg_free,
             "bdd_unique_saved": self.bdd_unique_saved,
@@ -209,34 +201,10 @@ class MetricsRegistry:
             or [("", 0.0)],
         )
         emit(
-            "ddbdd_remote_ops_total",
-            "counter",
-            "Remote cache-tier operation outcomes, summed over served jobs.",
-            [(f'{{op="{k}"}}', float(v)) for k, v in sorted(self.remote_ops.items())]
-            or [("", 0.0)],
-        )
-        emit(
             "ddbdd_claims_total",
             "counter",
             "Cross-daemon singleflight claim events, summed over served jobs.",
             [(f'{{event="{k}"}}', float(v)) for k, v in sorted(self.claims.items())]
-            or [("", 0.0)],
-        )
-        from repro.runtime.remote import BREAKER_STATES, remote_snapshot
-
-        emit(
-            "ddbdd_breaker_state",
-            "gauge",
-            "Remote-shard circuit-breaker state by URL and direction "
-            "(closed=0, half_open=1, open=2).",
-            [
-                (
-                    f'{{url="{url}",op="{op}"}}',
-                    float(BREAKER_STATES.index(str(br.get("state", "closed")))),
-                )
-                for url, snap in sorted(remote_snapshot().items())
-                for op, br in sorted(dict(snap.get("breakers", {})).items())
-            ]
             or [("", 0.0)],
         )
         emit(

@@ -30,7 +30,7 @@ Config resolution policy (the per-request environment contract):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.config import DDBDDConfig
 from repro.network.netlist import BooleanNetwork
@@ -47,10 +47,6 @@ CONFIG_ALLOWLIST = (
     "cache",
     "cache_dir",
     "cache_max_entries",
-    "cache_remote",
-    "remote_deadline_s",
-    "remote_retries",
-    "remote_breaker",
     "cache_claims",
     "fleet_weight",
     "verify_level",
@@ -109,14 +105,14 @@ class ProtocolError(Exception):
 class SubmitRequest:
     """One fully validated synthesis request, ready to queue.
 
-    ``net`` is the parsed input network; ``config`` the per-request
-    :class:`DDBDDConfig` (environment defaults already resolved —
-    see the module docstring); ``pipeline_script`` the flow script the
-    job will run (always explicit, never ``None``, so job records are
-    self-describing).
+    ``net`` is the parsed input network, dropped (``None``) once the
+    job finishes; ``config`` the per-request :class:`DDBDDConfig`
+    (environment defaults already resolved — see the module docstring);
+    ``pipeline_script`` the flow script the job will run (always
+    explicit, never ``None``, so job records are self-describing).
     """
 
-    net: BooleanNetwork
+    net: Optional[BooleanNetwork]
     config: DDBDDConfig
     pipeline_script: str
     source: str

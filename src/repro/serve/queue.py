@@ -246,8 +246,14 @@ class JobQueue:
         tenant.peak_running = max(tenant.peak_running, tenant.running)
 
     def mark_finished(self, job: ServeJob, ok: bool) -> None:
-        """Retire a running job as ``done`` (``ok``) or ``failed``."""
+        """Retire a running job as ``done`` (``ok``) or ``failed``.
+
+        This also drops the job's input network: ``run_flow`` grows it
+        in place, so each kept job would hold tens to hundreds of KB
+        that neither snapshots nor event replay read.
+        """
         del self._running[job.id]
+        job.request.net = None
         job.state = DONE if ok else FAILED
         job.finished_m = time.monotonic()
         tenant = self.tenants[job.tenant]

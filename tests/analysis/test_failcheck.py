@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import check_failure_reports
 from repro.analysis.diagnostics import DIAGNOSTIC_CODES, ERROR, WARNING, errors_of
-from repro.analysis.failcheck import DEGRADED_RUNGS, REMOTE_TRANSPORT_REASONS
+from repro.analysis.failcheck import DEGRADED_RUNGS
 from repro.runtime.stats import FailureReport
 
 
@@ -38,33 +36,18 @@ def _pool_row() -> FailureReport:
     )
 
 
-def _remote_row(reason: str, rung: str = "get", retries: int = 0) -> FailureReport:
-    return FailureReport(
-        kind="remote",
-        job="n7",
-        seq=0,
-        reason=reason,
-        retries=retries,
-        rung=rung,
-        verified=True,
-    )
-
-
 def test_docstrings_list_trigger_conditions():
     doc = check_failure_reports.__doc__ or ""
     assert "Trigger conditions" in doc
-    for code in ("DD401", "DD402", "DD403", "DD404", "DD411", "DD412", "DD413"):
+    for code in ("DD401", "DD402", "DD403", "DD404"):
         assert code in doc, f"{code} trigger not documented"
         assert code in DIAGNOSTIC_CODES
     # The documented conditions name the discriminating report fields.
     assert "report.verified" in doc
-    assert '"budget"' in doc and '"pool"' in doc and '"remote"' in doc
+    assert '"budget"' in doc and '"pool"' in doc
     assert "DEGRADED_RUNGS" in doc
     for rung in DEGRADED_RUNGS:
         assert rung in doc
-    assert "REMOTE_TRANSPORT_REASONS" in doc
-    for reason in REMOTE_TRANSPORT_REASONS:
-        assert reason in doc
 
 
 def test_budget_breach_triggers_dd403_only_on_clean_retry():
@@ -91,41 +74,17 @@ def test_pool_recovery_is_dd404():
     assert diags[0].severity == WARNING
 
 
-@pytest.mark.parametrize("reason", REMOTE_TRANSPORT_REASONS)
-def test_remote_transport_failure_is_dd411(reason):
-    diags = check_failure_reports([_remote_row(reason, rung="put", retries=2)])
-    assert [d.code for d in diags] == ["DD411"]
-    assert diags[0].severity == WARNING
-    assert "put" in diags[0].message and reason in diags[0].message
-
-
-def test_breaker_trip_is_dd412():
-    diags = check_failure_reports([_remote_row("breaker_open")])
-    assert [d.code for d in diags] == ["DD412"]
-    assert diags[0].severity == WARNING
-    assert "cooldown" in diags[0].message
-
-
-@pytest.mark.parametrize("reason", ["quarantined", "garbage"])
-def test_untrusted_remote_record_is_dd413(reason):
-    # garbage rides with DD413, not DD411: the shard *answered* with
-    # bytes that cannot be trusted — a corruption, not a network fault.
-    diags = check_failure_reports([_remote_row(reason)])
-    assert [d.code for d in diags] == ["DD413"]
-    assert diags[0].severity == WARNING
-    assert "quarantin" in diags[0].message
-
-
-def test_unknown_remote_reason_is_silent():
-    assert check_failure_reports([_remote_row("weird_new_reason")]) == []
+def test_unknown_kind_is_silent():
+    row = FailureReport(job="n7", seq=0, kind="weird_new_kind", reason="x", retries=0)
+    assert check_failure_reports([row]) == []
 
 
 def test_mixed_outage_report_orders_codes_per_row():
     rows = [
-        _remote_row("timeout"),
-        _remote_row("breaker_open"),
-        _remote_row("quarantined"),
+        _pool_row(),
         _budget_row(rung="shannon"),
+        _budget_row(verified=False),
+        _budget_row(rung="retry"),
     ]
     diags = check_failure_reports(rows)
-    assert [d.code for d in diags] == ["DD411", "DD412", "DD413", "DD403", "DD401"]
+    assert [d.code for d in diags] == ["DD404", "DD403", "DD401", "DD402", "DD403"]

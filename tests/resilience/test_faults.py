@@ -46,6 +46,7 @@ def test_parse_repeat_count_and_defaults():
         "crash_worker@put=1",          # wrong site for the kind
         "corrupt_shard@job=1",         # wrong site for the kind
         "bogus@job=1",                 # unknown kind
+        "net_timeout@get=3",           # unknown kind
         "stall@job=0",                 # N must be >= 1
         "crash_worker@job=1x0",        # COUNT must be >= 1
         "crash_worker@job=two",        # N must be an integer

@@ -130,7 +130,7 @@ def test_old_shard_tree_is_a_miss_and_left_alone(tmp_path):
     assert net_dump(result.network) == net_dump(serial.network)
     assert result.runtime_stats.cache_hits == 0
     assert result.runtime_stats.cache_misses == first.runtime_stats.cache_misses
-    assert set(result.runtime_stats.cache_tiers) == {"memory", "sqlite", "remote"}
+    assert set(result.runtime_stats.cache_tiers) == {"memory", "sqlite"}
     for path, payload, mtime in shards:
         assert path.read_text(encoding="utf-8") == payload
         assert path.stat().st_mtime_ns == mtime

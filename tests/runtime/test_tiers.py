@@ -1,6 +1,6 @@
 """Tiered content-addressed store: per-tier LRU/corruption/promotion
-behaviour, cross-process-safe tier-2 writes, cross-daemon claim leases
-and the remote tier-3 walk."""
+behaviour, cross-process-safe tier-2 writes and cross-daemon claim
+leases."""
 
 from __future__ import annotations
 
@@ -9,13 +9,11 @@ import sqlite3
 import threading
 
 from repro.runtime.emission import EmissionCell, EmissionRecord
-from repro.runtime.remote import RemoteResult
 from repro.runtime.signature import SIGNATURE_VERSION
 import repro.runtime.tiers as tiers_mod
 from repro.runtime.tiers import (
     CacheTelemetry,
     MemoryTier,
-    REMOTE_OP_KEYS,
     SqliteTier,
     TieredEmissionCache,
     TIER_NAMES,
@@ -129,6 +127,8 @@ def test_damage_is_told_from_a_lock_by_message_alone():
     assert tiers_mod._is_damage(sqlite3.DatabaseError("database disk image is malformed"))
     assert not tiers_mod._is_damage(sqlite3.OperationalError("database is locked"))
     assert not tiers_mod._is_damage(sqlite3.OperationalError("no such table: records"))
+    assert tiers_mod._is_lock(sqlite3.OperationalError("database is locked"))
+    assert not tiers_mod._is_lock(sqlite3.DatabaseError("file is not a database"))
 
 
 def test_sqlite_tier_sets_up_each_file_once(tmp_path, monkeypatch):
@@ -158,6 +158,32 @@ def test_sqlite_tier_sets_up_each_file_once(tmp_path, monkeypatch):
     assert tier.get(_key(0)) == (None, 1)
     assert tier.put(_key(0), _record(0))[0]
     assert setups() == 8
+
+
+def test_sqlite_tier_retries_a_locked_setup(tmp_path, monkeypatch):
+    """Stores that set one new file up together can see ``PRAGMA
+    journal_mode=WAL`` fail with ``database is locked`` at once, without
+    waiting out the busy timeout.  The setup retries, so the put still
+    stores."""
+    raised: list = []
+
+    class LockedOnce(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql == "PRAGMA journal_mode=WAL" and not raised:
+                raised.append(sql)
+                raise sqlite3.OperationalError("database is locked")
+            return super().execute(sql, *args)
+
+    real_connect = sqlite3.connect
+    monkeypatch.setattr(
+        tiers_mod.sqlite3,
+        "connect",
+        lambda *args, **kwargs: real_connect(*args, factory=LockedOnce, **kwargs),
+    )
+    tier = SqliteTier(tmp_path)
+    assert tier.put(_key(1), _record(1)) == (True, False, 0)
+    assert raised, "the first WAL pragma met the lock"
+    assert tier.get(_key(1)) == (_record(1), 0)
 
 
 def test_sqlite_tier_evicts_least_recently_touched(tmp_path):
@@ -246,7 +272,7 @@ def test_tiered_invalidate_drops_every_tier(tmp_path):
 
 def test_telemetry_shape_and_totals():
     tele = CacheTelemetry()
-    assert TIER_NAMES == ("memory", "sqlite", "remote")
+    assert TIER_NAMES == ("memory", "sqlite")
     assert set(tele.tiers) == set(TIER_NAMES)
     for counters in tele.tiers.values():
         assert set(counters) == set(TIER_OPS)
@@ -377,121 +403,3 @@ def test_contended_claims_and_puts_never_drop_or_corrupt(tmp_path):
     for key in record_keys:
         record, corrupt = reader.get(key)
         assert record is not None and corrupt == 0
-
-
-# ----------------------------------------------------------------------
-# Tier 3: the remote walk (driven through a scripted fake client)
-# ----------------------------------------------------------------------
-class _FakeRemote:
-    """Scripted stand-in for RemoteClient: returns canned results and
-    records what the walk asked of it."""
-
-    def __init__(self, get_result: RemoteResult, put_result: RemoteResult = None):
-        self.get_result = get_result
-        self.put_result = put_result or RemoteResult(stored=True)
-        self.gets: list = []
-        self.puts: list = []
-        self.quarantines = 0
-        self.quarantine_trips = False
-
-    def get(self, key):
-        self.gets.append(key)
-        return self.get_result
-
-    def put(self, key, record):
-        self.puts.append(key)
-        return self.put_result
-
-    def note_quarantine(self):
-        self.quarantines += 1
-        return self.quarantine_trips
-
-
-def test_remote_walk_requires_verify(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(record=_record()))
-    assert store.get(_key(8)) is None, "no verify callback: remote never walked"
-    assert store.remote.gets == []
-
-
-def test_remote_hit_verifies_then_promotes(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(record=_record(9)))
-    tele = CacheTelemetry()
-    got = store.get(_key(9), tele, verify=lambda r: True, job="n9")
-    assert got == _record(9)
-    assert tele.tiers["remote"]["hits"] == 1
-    assert tele.tiers["sqlite"]["promotions"] == 1
-    assert tele.tiers["memory"]["promotions"] == 1
-    # Promoted: the next read never reaches the fake again.
-    assert store.get(_key(9), verify=lambda r: True) == _record(9)
-    assert len(store.remote.gets) == 1
-    assert store.disk.get(_key(9))[0] == _record(9)
-
-
-def test_remote_read_mode_promotes_memory_only(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(record=_record(10)))
-    got = store.get(_key(10), promote_disk=False, verify=lambda r: True)
-    assert got == _record(10)
-    assert not store.disk.path.exists(), "read mode must not create files"
-    assert len(store.memory) == 1
-
-
-def test_remote_quarantine_never_promotes(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(record=_record(11)))
-    store.remote.quarantine_trips = True
-    tele = CacheTelemetry()
-    got = store.get(_key(11), tele, verify=lambda r: False, job="n11")
-    assert got is None, "a verify-rejected record is never returned"
-    assert store.remote.quarantines == 1
-    assert len(store.memory) == 0 and not store.disk.path.exists()
-    assert tele.tiers["remote"]["corruptions"] == 1
-    assert tele.remote["quarantined"] == 1
-    reasons = [(f.reason, f.rung) for f in tele.failures]
-    assert ("quarantined", "get") in reasons
-    assert ("breaker_open", "get") in reasons, "the fed-back trip is audited"
-    assert tele.remote["trips"] == 1
-
-
-def test_remote_fault_degrades_to_miss(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(fault="timeout", retries=2, tripped=True))
-    tele = CacheTelemetry()
-    assert store.get(_key(12), tele, verify=lambda r: True, job="n12") is None
-    assert tele.tiers["remote"]["misses"] == 1
-    assert tele.remote["timeout"] == 1
-    assert tele.remote["retries"] == 2
-    assert tele.remote["trips"] == 1
-    rows = [(f.kind, f.reason) for f in tele.failures]
-    assert rows == [("remote", "timeout"), ("remote", "breaker_open")]
-
-
-def test_remote_breaker_open_skip_is_silent(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(RemoteResult(fault="breaker_open"))
-    tele = CacheTelemetry()
-    assert store.get(_key(13), tele, verify=lambda r: True, job="n13") is None
-    assert tele.remote["breaker_open"] == 1
-    assert tele.failures == [], "skips during an outage never flood the report"
-
-
-def test_put_fans_out_to_remote(tmp_path):
-    store = TieredEmissionCache(tmp_path)
-    store.remote = _FakeRemote(
-        RemoteResult(), put_result=RemoteResult(fault="refused")
-    )
-    tele = CacheTelemetry()
-    assert store.put(_key(14), _record(14), tele, job="n14")
-    assert store.remote.puts == [_key(14)]
-    assert tele.tiers["remote"]["puts"] == 0, "a refused fan-out stored nothing"
-    assert [f.reason for f in tele.failures] == ["refused"]
-    # The local tiers kept the record regardless.
-    assert store.get(_key(14)) == _record(14)
-
-
-def test_remote_op_keys_shape():
-    tele = CacheTelemetry()
-    assert set(tele.remote) == set(REMOTE_OP_KEYS)
-    assert all(v == 0 for v in tele.remote.values())

@@ -30,6 +30,7 @@ def sample_stats() -> dict:
     stats.supernodes = 7
     stats.cache_hits = 3
     stats.cache_puts = 4
+    stats.claims = {"won": 4, "released": 4}
     stats.failures.append(
         FailureReport(job="n1", seq=1, kind="budget", reason="deadline", retries=1)
     )
@@ -43,8 +44,8 @@ class TestSchemaContract:
     def test_runtime_stats_keys_are_the_contract(self):
         payload = sample_stats()
         assert tuple(payload) == RUNTIME_STATS_KEYS
-        # Schema 4: cache_tiers has no "shards" tier.
-        assert payload["schema"] == STATS_SCHEMA == 4
+        # Schema 5: no "remote" block; cache_tiers is memory and sqlite.
+        assert payload["schema"] == STATS_SCHEMA == 5
         assert payload["version"] == __version__
 
     def test_pass_and_failure_rows_match_contract(self):
@@ -95,6 +96,7 @@ class TestAggregation:
         assert snap["cache_hits"] == 6 and snap["cache_puts"] == 8
         assert snap["failures_recovered"] == 2
         assert snap["failure_kinds"] == {"budget": 2}
+        assert snap["claims"] == {"released": 8, "won": 8}
         assert snap["passes"]["sweep"]["calls"] == 2
         assert snap["passes"]["synth"]["seconds"] == 2.0
         assert snap["stage_seconds"]["dp"] == 2.0
@@ -117,4 +119,5 @@ class TestAggregation:
         assert 'ddbdd_cache_ops_total{op="hits"} 3' in text
         assert 'ddbdd_pass_runs_total{pass="synth"} 1' in text
         assert 'ddbdd_failures_recovered_total{kind="budget"} 1' in text
+        assert 'ddbdd_claims_total{event="won"} 4' in text
         assert text.endswith("\n")

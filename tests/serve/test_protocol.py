@@ -57,9 +57,10 @@ class TestRejections:
         assert "finish" in exc.message
 
     def test_unknown_config_key(self):
-        exc = submit_error({"benchmark": "mux", "config": {"jbos": 2}})
-        assert exc.code == "invalid_config"
-        assert "jbos" in exc.message
+        for key, value in (("jbos", 2), ("cache_remote", "http://127.0.0.1:9")):
+            exc = submit_error({"benchmark": "mux", "config": {key: value}})
+            assert exc.code == "invalid_config"
+            assert key in exc.message
 
     def test_non_allowlisted_config_key(self):
         # A real DDBDDConfig field that is server policy, not client's.
@@ -95,10 +96,14 @@ class TestRejections:
 
 class TestAccepted:
     def test_benchmark_submit(self):
-        req = parse_submit({"benchmark": "mux", "tenant": "alice", "priority": 7})
+        req = parse_submit({
+            "benchmark": "mux", "tenant": "alice", "priority": 7,
+            "config": {"cache_claims": False},
+        })
         assert (req.tenant, req.priority, req.mode, req.emit) == (
             "alice", 7, "async", "none",
         )
+        assert req.config.cache_claims is False
         assert req.source == "benchmark:mux"
         assert "map" in req.pipeline_script
         desc = req.describe()
@@ -120,25 +125,6 @@ class TestAccepted:
     def test_explicit_flow_script(self):
         req = parse_submit({"benchmark": "mux", "flow": "sweep;synth;map"})
         assert req.pipeline_script == "sweep;synth;map"
-
-    def test_remote_tier_knobs_are_allowlisted(self):
-        req = parse_submit({"benchmark": "mux", "config": {
-            "cache_remote": "http://127.0.0.1:9",
-            "remote_deadline_s": 0.5,
-            "remote_retries": 0,
-            "remote_breaker": "2/4/1",
-            "cache_claims": False,
-        }})
-        assert req.config.cache_remote == "http://127.0.0.1:9"
-        assert req.config.remote_deadline_s == 0.5
-        assert req.config.remote_retries == 0
-        assert req.config.remote_breaker == "2/4/1"
-        assert req.config.cache_claims is False
-
-    def test_bad_remote_knob_is_structured_400(self):
-        exc = submit_error({"benchmark": "mux",
-                            "config": {"cache_remote": "ftp://nope"}})
-        assert exc.code == "invalid_config"
 
     def test_snapshot_key_contract(self):
         from repro.serve.queue import ServeJob

@@ -3,12 +3,15 @@ caps, fault-plan run-exclusivity, bounded retention."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.benchgen import build_circuit
 from repro.core.config import DDBDDConfig
 from repro.serve.protocol import SubmitRequest
-from repro.serve.queue import DONE, JobQueue, QuotaError, ServeJob
+from repro.serve.queue import DONE, FAILED, JobQueue, QuotaError, ServeJob
 
 MUX = build_circuit("mux")
 
@@ -168,6 +171,24 @@ class TestRetention:
         assert queue.jobs[ids[3]].state == DONE
         # Counters survive eviction.
         assert queue.totals()["served"] == 4
+
+    @pytest.mark.parametrize("ok,state", [(True, DONE), (False, FAILED)])
+    def test_finished_jobs_drop_their_network(self, ok, state):
+        queue = JobQueue(max_workers=1)
+        request = make_request()
+        request.net = build_circuit("mux")
+        net = weakref.ref(request.net)
+        job = queue.submit(request)
+        job.events.append({"event": "state", "state": "queued"})
+        queue.mark_running(job)
+        queue.mark_finished(job, ok=ok)
+        gc.collect()
+        assert net() is None
+        # Snapshots and event replay of the kept job still work.
+        snap = queue.jobs[job.id].snapshot(0.0)
+        assert snap["state"] == state
+        assert snap["request"]["source"] == "benchmark:mux"
+        assert [e["state"] for e in job.events] == ["queued"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
