@@ -23,6 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.bdd.manager import BDDManager
 from repro.core.config import DDBDDConfig
 from repro.network.depth import depth_map
 from repro.network.netlist import BooleanNetwork
@@ -40,27 +41,46 @@ class CollapseStats:
     largest_bdd: int = 0
 
 
+def _merged_shape(mgr: BDDManager, f: int) -> Tuple[int, int]:
+    """``(size, support size)`` of ``f`` from one :meth:`~repro.bdd.
+    manager.BDDManager.reachable` walk: the size counts terminals as
+    ``count_nodes`` does, the support is the set of variables tested at
+    the walk's nonterminal handles."""
+    reach = mgr.reachable(f)
+    var = mgr._var
+    return len(reach), len({var[h >> 1] for h in reach if h > 1})
+
+
 def _mergable(
-    net: BooleanNetwork, in_name: str, out_name: str, config: DDBDDConfig
+    net: BooleanNetwork,
+    in_name: str,
+    out_name: str,
+    config: DDBDDConfig,
+    shapes: Optional[Dict[int, Tuple[int, int]]] = None,
 ) -> Optional[Tuple[int, int, int]]:
     """Size triple ``(n1, n2, n)`` if the pair may merge, else ``None``.
 
     Mirrors the paper's ``mergable``: merge the two BDD copies, require
     the merged size below the bound and below ``(n1+n2)·(1+α)``.
+    ``shapes`` memoizes :func:`_merged_shape` per merged handle; one
+    :func:`partial_collapse` call shares it across its iterations, which
+    re-test the same merges.
     """
     mgr = net.mgr
     n1 = mgr.count_nodes(net.nodes[in_name].func)
     n2 = mgr.count_nodes(net.nodes[out_name].func)
     merged = net.merged_function(in_name, out_name)
-    n = mgr.count_nodes(merged)
+    if shapes is None:
+        shapes = {}
+    shape = shapes.get(merged)
+    if shape is None:
+        shape = shapes[merged] = _merged_shape(mgr, merged)
+    n, nsup = shape
     if n > config.size_bound:
         return None
     if not n < (n1 + n2) * (1 + config.alpha):
         return None
-    if (
-        config.support_bound is not None
-        and len(mgr.support(merged)) > config.support_bound
-    ):
+    if config.support_bound is not None and nsup > config.support_bound:
         return None
     return n1, n2, n
 
@@ -85,6 +105,7 @@ def partial_collapse(net: BooleanNetwork, config: Optional[DDBDDConfig] = None) 
     config = config or DDBDDConfig()
     stats = CollapseStats(nodes_before=len(net.nodes))
     po_drivers = net.po_drivers()
+    shapes: Dict[int, Tuple[int, int]] = {}
 
     for _ in range(config.max_collapse_iterations):
         stats.iterations += 1
@@ -100,7 +121,7 @@ def partial_collapse(net: BooleanNetwork, config: Optional[DDBDDConfig] = None) 
             for in_name in out_node.fanins:
                 if in_name not in net.nodes:
                     continue  # primary input
-                sizes = _mergable(net, in_name, out_name, config)
+                sizes = _mergable(net, in_name, out_name, config, shapes)
                 if sizes is None:
                     continue
                 g = _gain(sizes, depths[in_name], dix, fanout_count[in_name], config)

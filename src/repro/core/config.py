@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.resilience.faults import FaultPlan, FaultPlanError
+from repro.utils import usable_cpus
 
 
 def _default_jobs() -> int:
@@ -262,9 +263,10 @@ class DDBDDConfig:
 
     @property
     def effective_jobs(self) -> int:
-        """Resolved worker count (``jobs == 0`` becomes the CPU count)."""
+        """Resolved worker count (``jobs == 0`` becomes the number of
+        CPUs this process may run on)."""
         if self.jobs == 0:
-            return os.cpu_count() or 1
+            return usable_cpus()
         return self.jobs
 
     @property

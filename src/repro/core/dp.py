@@ -32,7 +32,13 @@ from repro.bdd.manager import BDDManager
 from repro.bdd.reorder import reorder_for_size
 from repro.core.binpack import Box, PackedBin, pack_or_cost, pack_or_gates
 from repro.core.config import DDBDDConfig
-from repro.core.linear import Candidate, KIND_PRIORITY, State, candidates_for_cut
+from repro.core.linear import (
+    KIND_PRIORITY,
+    Candidate,
+    State,
+    _gate_rows,
+    candidates_for_cut,
+)
 from repro.network.netlist import BooleanNetwork
 from repro.resilience.budget import BudgetMeter
 from repro.utils import BoundedMemo, recursion_headroom
@@ -42,6 +48,18 @@ from repro.utils import BoundedMemo, recursion_headroom
 # may not.  Entry points take scoped headroom instead of raising the
 # limit persistently (a leaked raise trips hypothesis's limit guard).
 _MIN_RECURSION = 20_000
+
+# Candidate pricing: ``(delay, LUTs, KIND_PRIORITY, candidate index)``
+# of one cut, and one prepared gate row ``(w, rel, CS(w, rel) or None)``.
+_Price = Tuple[int, int, int, int]
+_Row = Tuple[int, int, Optional[FrozenSet[int]]]
+
+_PRIO_ALIAS = KIND_PRIORITY["alias"]
+_PRIO_AND = KIND_PRIORITY["and"]
+_PRIO_OR = KIND_PRIORITY["or"]
+_PRIO_XNOR = KIND_PRIORITY["xnor"]
+_PRIO_MUX = KIND_PRIORITY["mux"]
+_PRIO_LINEAR = KIND_PRIORITY["linear"]
 
 
 @dataclass
@@ -124,11 +142,11 @@ class BDDSynthesizer:
         self.input_delays = dict(input_delays)
         self._delay: Dict[State, int] = {}
         self._plan: Dict[State, _Best] = {}
-        # Hot-path memos: BDD supports and per-(state, j) decomposition
-        # candidates are pure functions of the (immutable) leveled BDD,
-        # shared across DP states that reference the same structure.
+        # Hot-path memo: BDD supports are pure functions of the
+        # (immutable) leveled BDD, shared across DP states that
+        # reference the same structure.
         self._support_memo: BoundedMemo[int, FrozenSet[int]] = BoundedMemo()
-        self._cand_memo: BoundedMemo[Tuple[int, int, int, int], List[Candidate]] = BoundedMemo()
+        self._cuts: Dict[Tuple[int, int], List[Tuple[int, bool]]] = {}
 
     def _support_of(self, func: int) -> FrozenSet[int]:
         """Memoized ``mgr.support`` (states frequently share functions)."""
@@ -214,105 +232,185 @@ class BDDSynthesizer:
             self._delay[state] = d
             self._plan[state] = _Best(d, 1, Candidate("lut", -1))
             return d
-        best = self._search_cuts(u, l, v, pruned_ok=True)
-        if best is None:
-            # Every cut was pruned by `thresh`; retry on the smallest
-            # cut set so the DP always produces an answer (divergence
-            # guard documented in DESIGN.md).
-            best = self._search_cuts(u, l, v, pruned_ok=False)
-        assert best is not None
+        best = self._search_cuts(u, l, v)
         self._delay[state] = best.delay
         self._plan[state] = best
         return best.delay
 
-    def _search_cuts(self, u: int, l: int, v: int, pruned_ok: bool) -> Optional[_Best]:
-        # Hot loop: cut-set sizes are computed once, attribute lookups
-        # are hoisted, and candidate lists are memoized per (state, j).
-        thresh = self.config.thresh
-        cut_set = self.lb.cut_set
-        sizes = [len(cut_set(u, j)) for j in range(l)]
-        js: List[int]
-        if pruned_ok:
+    def _cuts_of(self, u: int, l: int) -> List[Tuple[int, bool]]:
+        """The cuts ``j`` searched for every ``Bs(u, l, ·)``, each with
+        whether its special decompositions apply (a two-node cut set).
+
+        These are the cuts whose cut set fits ``thresh``; when it prunes
+        them all, the smallest cut alone, so the DP always produces an
+        answer (divergence guard documented in DESIGN.md).  Memoized:
+        they depend on ``(u, l)`` only, not on the terminal-1 choice.
+        """
+        got = self._cuts.get((u, l))
+        if got is None:
+            cut_set = self.lb.cut_set
+            sizes = [len(cut_set(u, j)) for j in range(l)]
+            thresh = self.config.thresh
             js = [j for j, size in enumerate(sizes) if size <= thresh]
-        else:
-            js = [min(range(l), key=sizes.__getitem__)]
-        best: Optional[_Best] = None
+            if not js:
+                js = [min(range(l), key=sizes.__getitem__)]
+            special = self.config.use_special_decompositions
+            got = [(j, special and sizes[j] == 2) for j in js]
+            self._cuts[(u, l)] = got
+        return got
+
+    def _search_cuts(self, u: int, l: int, v: int) -> _Best:
+        # Hot loop.  Each cut is priced from its prepared gate rows and
+        # the memoized sub-state delays, without building candidates;
+        # the first (delay, LUTs, KIND_PRIORITY) argmin wins, the same
+        # choice as a candidate-by-candidate scan (the oracle in
+        # tests/core/test_dp.py holds this).  Only the winning cut's
+        # Candidate is built, once, after the search.
+        lb = self.lb
+        prepared = lb._gate_rows
+        best_j = -1
+        best_idx = 0
         best_delay = 0
         best_luts = 0
         best_prio = 0
-        cost = self._candidate_cost
-        priority = KIND_PRIORITY
-        for j in js:
-            for cand in self._candidates(u, l, v, j):
-                d, luts = cost(cand)
-                if best is not None:
-                    if d > best_delay:
+        for j, special in self._cuts_of(u, l):
+            rows = prepared.get((u, l, j))
+            if rows is None:
+                rows = _gate_rows(lb, u, l, j)
+            # The rows that give v's expansion an AND gate (enumerate_gates).
+            gates = [
+                row for row in rows
+                if row[0] == v or (row[2] is not None and v in row[2])
+            ]
+            if not gates:
+                raise AssertionError("linear expansion produced no gates (v unreachable?)")
+            priced: Optional[_Price] = None
+            if len(gates) == 1:
+                priced = self._price_gate(u, j, v, gates[0])
+            elif special:
+                priced = self._price_pair(u, j, v, gates)
+            if priced is None:
+                priced = self._price_linear(u, j, v, gates)
+            d, luts, prio, idx = priced
+            if best_j >= 0:
+                if d > best_delay:
+                    continue
+                if d == best_delay:
+                    if luts > best_luts:
                         continue
-                    if d == best_delay:
-                        if luts > best_luts:
-                            continue
-                        if luts == best_luts and priority[cand.kind] >= best_prio:
-                            continue
-                best = _Best(d, luts, cand)
-                best_delay, best_luts, best_prio = d, luts, priority[cand.kind]
-        return best
+                    if luts == best_luts and prio >= best_prio:
+                        continue
+            best_j, best_idx = j, idx
+            best_delay, best_luts, best_prio = d, luts, prio
+        config = self.config
+        cands = candidates_for_cut(
+            lb, u, l, v, best_j,
+            use_special=config.use_special_decompositions, k=config.k,
+        )
+        return _Best(best_delay, best_luts, cands[best_idx])
 
-    def _candidates(self, u: int, l: int, v: int, j: int) -> List[Candidate]:
-        """Memoized :func:`candidates_for_cut` (structure is shared
-        between the pruned search and the fallback retry)."""
-        key = (u, l, v, j)
-        got = self._cand_memo.get(key)
-        if got is None:
-            got = candidates_for_cut(
-                self.lb, u, l, v, j,
-                use_special=self.config.use_special_decompositions,
-                k=self.config.k,
-            )
-            self._cand_memo[key] = got
-        return got
+    # Cut pricing.  Each helper returns ``(delay, LUTs, priority, index
+    # of the winner in candidates_for_cut's list)`` and evaluates
+    # sub-states in exactly the order that list's candidates read their
+    # operands, so the DP visits the same states in the same order.
+    # Sub-state delays are probed straight from the memo table and only
+    # fall back to the recursive :meth:`delay` on a miss.
 
-    def _candidate_cost(self, cand: Candidate) -> Tuple[int, int]:
-        """(mapping depth, local LUT count) of a candidate.
+    def _price_gate(self, u: int, j: int, v: int, gate: _Row) -> _Price:
+        """A lone gate: an alias of ``Bs(u, j, v)`` or a 2-input AND."""
+        memo_get = self._delay.get
+        w, rel, _ = gate
+        d = memo_get((u, j, w))
+        if d is None:
+            d = self.delay((u, j, w))
+        if w == v:
+            return d, 0, _PRIO_ALIAS, 0
+        d2 = memo_get((w, rel, v))
+        if d2 is None:
+            d2 = self.delay((w, rel, v))
+        return (d if d > d2 else d2) + 1, 1, _PRIO_AND, 0
 
-        Sub-state delays are probed straight from the memo table and
-        only fall back to the recursive :meth:`delay` on a miss — this
-        is the hottest loop of the DP and most states are warm.
-        """
-        kind = cand.kind
-        memo = self._delay
-        memo_get = memo.get
+    def _price_pair(self, u: int, j: int, v: int, gates: List[_Row]) -> Optional[_Price]:
+        """Special decompositions of a two-node cut set (one LUT each),
+        or ``None`` when neither XNOR nor MUX applies."""
+        memo_get = self._delay.get
         delay = self.delay
-        if kind == "alias":
-            s = cand.operands[0]
-            ds = memo_get(s)
-            return (delay(s) if ds is None else ds), 0
-        if kind in ("and", "or", "xnor", "mux"):
-            d = 0
-            for s in cand.operands:
-                ds = memo_get(s)
-                if ds is None:
-                    ds = delay(s)
-                if ds > d:
-                    d = ds
-            return d + 1, 1
-        assert kind == "linear"
-        # Counting-only packing: the probe needs (depth, LUT count),
-        # not the bins — see :func:`repro.core.binpack.pack_or_cost`.
+        (w1, rel1, _), (w2, rel2, _) = gates
+        if w1 == v or w2 == v:
+            # OR of Bs(u, j, v) and the other node's continuation.
+            w, rel = (w2, rel2) if w1 == v else (w1, rel1)
+            d = memo_get((u, j, v))
+            if d is None:
+                d = delay((u, j, v))
+            d2 = memo_get((w, rel, v))
+            if d2 is None:
+                d2 = delay((w, rel, v))
+            return (d if d > d2 else d2) + 1, 1, _PRIO_OR, 0
+        lb = self.lb
+        f_h1 = lb.bs_function(w1, rel1, v)
+        xnor = lb.bs_function(w2, rel2, v) == lb.mgr.negate(f_h1)
+        if not xnor and self.config.k < 3:
+            return None
+        # XNOR reads (u,j,w1), h1, then (u,j,w2), h2; MUX alone reads
+        # (u,j,w1), h1, h2, then (u,j,w2).
+        a1 = memo_get((u, j, w1))
+        if a1 is None:
+            a1 = delay((u, j, w1))
+        h1 = memo_get((w1, rel1, v))
+        if h1 is None:
+            h1 = delay((w1, rel1, v))
+        if xnor:
+            a2 = memo_get((u, j, w2))
+            if a2 is None:
+                a2 = delay((u, j, w2))
+            h2 = memo_get((w2, rel2, v))
+            if h2 is None:
+                h2 = delay((w2, rel2, v))
+            # Each MUX reads a superset of its XNOR twin's operands and
+            # ranks after it, so an XNOR always wins.
+            d1 = a1 if a1 > h1 else h1
+            d2 = a2 if a2 > h2 else h2
+            prio = _PRIO_XNOR
+        else:
+            h2 = memo_get((w2, rel2, v))
+            if h2 is None:
+                h2 = delay((w2, rel2, v))
+            a2 = memo_get((u, j, w2))
+            if a2 is None:
+                a2 = delay((u, j, w2))
+            h = h1 if h1 > h2 else h2
+            d1 = a1 if a1 > h else h
+            d2 = a2 if a2 > h else h
+            prio = _PRIO_MUX
+        if d2 < d1:
+            return d2 + 1, 1, prio, 1
+        return d1 + 1, 1, prio, 0
+
+    def _price_linear(self, u: int, j: int, v: int, gates: List[_Row]) -> _Price:
+        """Linear expansion: AND gates grouped by input depth as
+        ``[2-input, 1-input]`` counts, priced by :func:`pack_or_cost`."""
+        memo_get = self._delay.get
+        delay = self.delay
         groups: Dict[int, List[int]] = {}
-        groups_get = groups.get
-        for gate in cand.gates:
-            d = 0
-            for s in gate.ops:
-                ds = memo_get(s)
-                if ds is None:
-                    ds = delay(s)
-                if ds > d:
-                    d = ds
-            counts = groups_get(d)
+        for w, rel, _ in gates:
+            d = memo_get((u, j, w))
+            if d is None:
+                d = delay((u, j, w))
+            if w == v:
+                slot = 1
+            else:
+                d2 = memo_get((w, rel, v))
+                if d2 is None:
+                    d2 = delay((w, rel, v))
+                if d2 > d:
+                    d = d2
+                slot = 0
+            counts = groups.get(d)
             if counts is None:
                 counts = groups[d] = [0, 0]
-            counts[0 if len(gate.ops) == 2 else 1] += 1
-        return pack_or_cost(groups, self.config.k)
+            counts[slot] += 1
+        d, luts = pack_or_cost(groups, self.config.k)
+        return d, luts, _PRIO_LINEAR, 0
 
     @property
     def states_visited(self) -> int:

@@ -11,9 +11,10 @@ The :class:`FleetScheduler` (one per process, :func:`get_fleet`) fixes
 both:
 
 * **One worker fleet.**  All clean requests submit their wavefront
-  batches to one shared :class:`JobRunner` sized to the machine.  Each
-  request's batch is still LPT-chunked (:func:`~repro.runtime.pool.
-  chunk_jobs`), but capped to the request's *fair share*:
+  batches to one shared :class:`JobRunner` sized to the CPUs the
+  process may run on.  Each request's batch is still LPT-chunked
+  (:func:`~repro.runtime.pool.chunk_jobs`), but capped to the
+  request's *fair share*:
   ``workers * weight / total_active_weight`` (floored, min 1), so a
   giant circuit cannot starve a small one.  Chunking never changes
   results — jobs are pure functions of their payloads — so any
@@ -75,7 +76,6 @@ from repro.runtime.pool import (
     SupernodeJob,
     run_supernode_job_guarded,
 )
-from repro.runtime.signature import dag_size
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import (
     DEFAULT_MEMORY_ENTRIES,
@@ -84,6 +84,7 @@ from repro.runtime.tiers import (
     CacheTelemetry,
     TieredEmissionCache,
 )
+from repro.utils import usable_cpus
 
 #: How long a follower waits on a flight before giving up and
 #: recomputing independently.  Generously above any single supernode DP
@@ -277,7 +278,7 @@ class FleetScheduler:
     def _shared_runner(self) -> JobRunner:
         with self._lock:
             if self._runner is None:
-                self._runner = JobRunner(os.cpu_count() or 1)
+                self._runner = JobRunner(usable_cpus())
             return self._runner
 
     def allowance(self, req: FleetRequest) -> int:
@@ -295,10 +296,7 @@ class FleetScheduler:
     # Wave execution
     # ------------------------------------------------------------------
     def run_wave(
-        self,
-        req: FleetRequest,
-        items: List[WaveItem],
-        inline_threshold: int,
+        self, req: FleetRequest, items: List[WaveItem]
     ) -> Dict[str, JobOutcome]:
         """Resolve one wavefront: cache, singleflight, then compute.
 
@@ -398,7 +396,7 @@ class FleetScheduler:
             leaders = remaining
 
         try:
-            self._compute_leaders(req, leaders, results, inline_threshold)
+            self._compute_leaders(req, leaders, results)
         finally:
             # Leases release *after* the records are durably in tier 2
             # (puts happen inside _compute_leaders) — and also on any
@@ -556,9 +554,15 @@ class FleetScheduler:
         req: FleetRequest,
         leaders: List[Tuple[WaveItem, Optional[_Flight]]],
         results: Dict[str, JobOutcome],
-        inline_threshold: int,
     ) -> None:
         """Run every job this request leads and publish its flights.
+
+        A clean batch runs in-process only when it cannot be split: one
+        job, or a fair-share allowance below two workers (a jobs=1
+        request, or a fleet too busy to spare a second worker).  Every
+        other batch goes to the runner, however small: a DP costs about
+        0.5 ms per canonical DAG node, so even a few hundred nodes
+        outweigh the pool's fork/pickle round trip.
 
         On *any* escape (a worker-pool error that exhausted retries, an
         injected raise, a KeyboardInterrupt) the unpublished flights are
@@ -570,24 +574,21 @@ class FleetScheduler:
         batch = [item.job for item, _ in leaders]
         try:
             with req.stats.stage("dp"):
-                if (
-                    not fault_mod.is_active()
-                    and sum(dag_size(job.dag) for job in batch) < inline_threshold
-                ):
+                allowance = self.allowance(req)
+                if not fault_mod.is_active() and (len(batch) == 1 or allowance < 2):
                     outcomes = [run_supernode_job_guarded(job) for job in batch]
-                else:
+                elif req.runner is not None:
                     # A private runner (fault-armed request) is exclusive
                     # to this request: fair-share admission does not
                     # apply, and its unclamped worker count must stand so
                     # injected worker faults land in real workers.
-                    if req.runner is not None:
-                        outcomes = req.runner.run_batch_outcomes(
-                            batch, events=req.events
-                        )
-                    else:
-                        outcomes = self._shared_runner().run_batch_outcomes(
-                            batch, max_chunks=self.allowance(req), events=req.events
-                        )
+                    outcomes = req.runner.run_batch_outcomes(
+                        batch, events=req.events
+                    )
+                else:
+                    outcomes = self._shared_runner().run_batch_outcomes(
+                        batch, max_chunks=allowance, events=req.events
+                    )
         except BaseException:
             for item, flight in leaders:
                 if flight is not None:

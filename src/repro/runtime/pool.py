@@ -23,7 +23,8 @@ without re-importing, and no state beyond the job payload is shared.
 
 Two defenses keep IPC overhead from wiping out the parallel win:
 
-* the requested job count is clamped to ``os.cpu_count()`` — the DP is
+* the requested job count is clamped to the CPUs this process may run
+  on (:func:`~repro.utils.usable_cpus`) — the DP is
   CPU-bound pure Python, so oversubscribing cores only adds pickle and
   context-switch cost (and a one-core host degrades to plain inline
   execution, making ``jobs=N`` cost the same as ``jobs=1``).  The clamp
@@ -52,7 +53,6 @@ in :attr:`JobRunner.failure_events`.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -66,6 +66,7 @@ from repro.resilience import faults as fault_mod
 from repro.resilience.budget import Budget, BudgetExceeded, BudgetMeter
 from repro.runtime.emission import EmissionRecord, export_emission
 from repro.runtime.signature import CanonicalDAG, dag_size, rebuild_dag, signature
+from repro.utils import usable_cpus
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ class JobRunner:
         # overhead, so the pool never grows past the machine — unless
         # the caller lifts the clamp (fault-injection runs must exercise
         # real worker processes even on a one-core host).
-        self.workers = min(jobs, os.cpu_count() or 1) if clamp else jobs
+        self.workers = min(jobs, usable_cpus()) if clamp else jobs
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         #: Pool failures observed and recovered, in order.

@@ -31,7 +31,6 @@ that is the determinism contract ``jobs=N ≡ jobs=1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import os
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.hooks import StageVerifier
@@ -47,22 +46,11 @@ from repro.runtime.pool import JobOutcome, JobRunner, SupernodeJob
 from repro.runtime.signature import CanonicalDAG, export_dag
 from repro.runtime.stats import FailureReport, RuntimeStats
 from repro.runtime.tiers import CacheTelemetry
+from repro.utils import usable_cpus
 
 KIND_CONST = "const"
 KIND_LITERAL = "literal"
 KIND_SUPERNODE = "supernode"
-
-#: Minimum summed canonical-DAG size before a wavefront batch is worth
-#: shipping to the process pool.  A DP costs roughly 0.25 ms per BDD
-#: node (measured), so 768 nodes is ~200 ms of work — enough that a
-#: second worker recoups the few-ms fork/pickle round trip with a
-#: healthy margin; below it the batch runs inline.  (The old value of
-#: 96 shipped ~25 ms batches, whose IPC overhead made ``jobs=4``
-#: *slower* than serial.)  Same records either way, so the determinism
-#: contract is unaffected.  On the Table I suite this keeps the small
-#: wavefronts (60–300 nodes) inline and ships only the big ones
-#: (≈850–4600 nodes).
-MIN_POOL_WORK = 768
 
 
 @dataclass
@@ -204,7 +192,7 @@ def wavefront_supernodes(
     if (
         store is None
         and not config.resilience_active
-        and min(config.effective_jobs, os.cpu_count() or 1) == 1
+        and min(config.effective_jobs, usable_cpus()) == 1
     ):
         from repro.core.ddbdd import serial_supernodes
 
@@ -263,7 +251,7 @@ def wavefront_supernodes(
                             )
                             key = job.signature() if store is not None else None
                         items.append(WaveItem(name=name, job=job, key=key))
-                    outcomes = fleet.run_wave(req, items, MIN_POOL_WORK)
+                    outcomes = fleet.run_wave(req, items)
                     for item in items:
                         outcome = outcomes[item.name]
                         if outcome.ok:

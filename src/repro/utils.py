@@ -13,13 +13,25 @@
   processes, see :mod:`repro.runtime.pool`) is unbounded; the bounded
   variant evicts its oldest entries instead, trading re-computation for
   a hard memory ceiling.
+* :func:`usable_cpus` — how many CPUs this process may run on.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
 from typing import Dict, Generic, Iterator, TypeVar
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` or a cpuset narrows it below the
+    machine's count), else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 @contextmanager

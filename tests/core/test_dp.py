@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
+from repro.core.binpack import pack_or_cost
 from repro.core.config import DDBDDConfig
 from repro.core.dp import BDDSynthesizer
+from repro.core.linear import KIND_PRIORITY, candidates_for_cut
 from repro.network.netlist import BooleanNetwork
 from repro.network.simulate import exhaustive_patterns, simulate_outputs
 
@@ -212,3 +214,99 @@ def test_property_dp_emission_exact(bits):
         return
     net, result, _ = synthesize_to_net(m, f, config=DDBDDConfig(verify=True))
     check_function(m, f, net, result)
+
+
+# ----------------------------------------------------------------------
+# Local-consistency oracle: every plan entry is the first argmin of its
+# own candidates, rebuilt and costed candidate by candidate.
+# ----------------------------------------------------------------------
+_BASE_KINDS = ("literal", "litfunc", "lut")
+
+
+def _reference_choice(synth, state):
+    """``(delay, luts, candidate)`` of ``state`` the direct way: build
+    every :func:`candidates_for_cut` candidate over the cuts the DP
+    searches, cost each from the DP's delay table, keep the first
+    (delay, LUTs, KIND_PRIORITY) argmin."""
+    u, l, v = state
+    lb, cfg, delays = synth.lb, synth.config, synth._delay
+    sizes = [len(lb.cut_set(u, j)) for j in range(l)]
+    js = [j for j, size in enumerate(sizes) if size <= cfg.thresh]
+    if not js:
+        js = [min(range(l), key=sizes.__getitem__)]
+
+    def delay_of(sub):
+        # A sub-state the DP never evaluated means it skipped one.
+        assert sub in delays, f"{state}: operand {sub} was never evaluated"
+        return delays[sub]
+
+    best = None
+    for j in js:
+        cands = candidates_for_cut(
+            lb, u, l, v, j, use_special=cfg.use_special_decompositions, k=cfg.k
+        )
+        for cand in cands:
+            if cand.kind == "alias":
+                cost = (delay_of(cand.operands[0]), 0)
+            elif cand.kind == "linear":
+                groups = {}
+                for gate in cand.gates:
+                    depth = max(delay_of(sub) for sub in gate.ops)
+                    groups.setdefault(depth, [0, 0])[0 if gate.size == 2 else 1] += 1
+                cost = pack_or_cost(groups, cfg.k)
+            else:
+                cost = (max(delay_of(sub) for sub in cand.operands) + 1, 1)
+            key = (cost[0], cost[1], KIND_PRIORITY[cand.kind])
+            if best is None or key < best[0]:
+                best = (key, cand)
+    assert best is not None
+    (delay, luts, _), cand = best
+    return delay, luts, cand
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(5, 8),
+    k=st.integers(2, 6),
+    special=st.booleans(),
+    thresh=st.sampled_from([2, 15]),
+)
+def test_dp_plan_matches_candidate_argmin(data, n, k, special, thresh):
+    """The DP prices cuts without building candidates; its choice per
+    state must equal the candidate-by-candidate first argmin (same kind,
+    cut, operands or gates, delay and LUTs).  ``thresh=2`` prunes most
+    cuts and exercises the smallest-cut fallback.  Unless the drawn
+    split is 0, the table is ``g(low vars) XOR h(high vars)``: its
+    two-node cuts carry the complementary continuations that the XNOR
+    decomposition needs, which plain random tables rarely have."""
+    bits = data.draw(st.integers(0, (1 << (1 << n)) - 1), label="truth table")
+    split = data.draw(st.integers(0, n - 1), label="xor split")
+    if split:
+        # Low `split` variables of the row index feed g, the rest feed h.
+        h_bits = data.draw(st.integers(0, (1 << (1 << (n - split))) - 1), label="h")
+        bits = sum(
+            (((bits >> (i & ((1 << split) - 1))) ^ (h_bits >> (i >> split))) & 1) << i
+            for i in range(1 << n)
+        )
+    table = [(bits >> i) & 1 for i in range(1 << n)]
+    m = BDDManager(n)
+    f = m.from_truth_table(table, list(range(n)))
+    if m.is_terminal(f):
+        return
+    delays = {
+        v: data.draw(st.integers(0, 3), label=f"arrival x{v}")
+        for v in m.support_ordered(f)
+    }
+    cfg = DDBDDConfig(k=k, thresh=thresh, use_special_decompositions=special)
+    synth = BDDSynthesizer(m, f, delays, cfg)
+    synth.synthesize()
+    for state, best in list(synth._plan.items()):
+        if best.candidate.kind in _BASE_KINDS:
+            continue
+        delay, luts, ref = _reference_choice(synth, state)
+        got = best.candidate
+        assert (got.kind, got.j, got.operands) == (ref.kind, ref.j, ref.operands), state
+        assert [g.ops for g in got.gates] == [g.ops for g in ref.gates], state
+        assert (best.delay, best.luts) == (delay, luts), state
+        assert synth._delay[state] == delay

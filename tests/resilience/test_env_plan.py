@@ -30,12 +30,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _force_pool(monkeypatch):
-    # Ship every wavefront to the pool so worker-side faults (e.g. the
-    # CI plan's crash_worker) land in real worker processes.
-    import repro.runtime.schedule as sched
-
     monkeypatch.setenv("DDBDD_FAULTS", PLAN)
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 0)
 
 
 @pytest.mark.parametrize("name", ["cht", "misex1"])

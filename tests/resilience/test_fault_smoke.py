@@ -15,12 +15,6 @@ FAULTS = "crash_worker@job=2;stall@job=3:0.8s;corrupt_shard@put=1"
 
 
 def test_fault_smoke_identical_to_clean_run(tmp_path, monkeypatch):
-    import repro.runtime.schedule as sched
-
-    # Ship every wavefront to the pool so the crash fault reliably lands
-    # inside a worker process.
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 0)
-
     net = random_gate_network(0, n_pi=10, n_gates=60, n_po=6)
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))
 

@@ -142,11 +142,6 @@ def test_dead_leader_fail_publishes_and_waiters_recover(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fleet_mod, "run_supernode_job_guarded", bomb)
 
-    # Keep every request on the inline compute path so the bomb (and the
-    # waiters' retries) run through run_supernode_job_guarded.
-    import repro.runtime.schedule as sched
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 10**9)
-
     leader_errors: list = []
 
     def leader() -> None:

@@ -101,9 +101,6 @@ def test_pool_serial_fallback_after_retry_exhaustion(monkeypatch):
 # Flow-level: crash recovery preserves the determinism contract
 # ----------------------------------------------------------------------
 def test_flow_crash_recovery_identical_to_serial(monkeypatch):
-    import repro.runtime.schedule as sched
-
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 0)
     net = random_gate_network(13, n_pi=10, n_gates=60, n_po=6)
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))
     result = ddbdd_synthesize(

@@ -35,10 +35,7 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def _force_pool(monkeypatch):
-    import repro.runtime.schedule as sched
-
     monkeypatch.setenv("DDBDD_FAULTS", PLAN)
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 0)
 
 
 def test_daemon_jobs_survive_standing_plan(tmp_path):

@@ -3,6 +3,8 @@ and the worker entry point."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.bdd.manager import BDDManager
@@ -17,6 +19,7 @@ from repro.runtime.emission import (
 )
 from repro.runtime.pool import JobRunner, SupernodeJob, chunk_jobs, run_supernode_job
 from repro.runtime.signature import dag_size, export_dag
+from repro.utils import usable_cpus
 
 
 def _job(polarities=(False, False, False), arrivals=(0, 0, 0)) -> SupernodeJob:
@@ -122,6 +125,24 @@ def test_job_runner_pool_matches_inline():
     assert serial == inline
     with pytest.raises(ValueError):
         JobRunner(0)
+
+
+def test_job_runner_clamps_to_the_affinity_mask(monkeypatch):
+    """The clamp counts the CPUs this process may use, not the
+    machine's: under ``taskset`` or a cpuset a wider pool would
+    oversubscribe.  Constructing a runner starts no process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert usable_cpus() == 1
+    runner = JobRunner(4)
+    assert runner.workers == 1
+    assert runner._executor is None
+    assert JobRunner(4, clamp=False).workers == 4
+    assert DDBDDConfig(jobs=0).effective_jobs == 1
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_chunk_jobs_partitions_and_balances():

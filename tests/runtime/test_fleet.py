@@ -8,16 +8,20 @@ from __future__ import annotations
 import threading
 import time
 
+import pytest
+
 from repro.benchgen import build_circuit
 from repro.core import DDBDDConfig, ddbdd_synthesize
 from repro.runtime.fleet import get_fleet, reset_fleet
+from repro.runtime.pool import JobRunner
+from repro.runtime.signature import dag_size
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import SqliteTier, TieredEmissionCache
+from repro.utils import usable_cpus
 from tests.conftest import random_gate_network
 from tests.runtime.helpers import net_dump
 
 import repro.runtime.fleet as fleet_mod
-import repro.runtime.schedule as sched
 
 
 # ----------------------------------------------------------------------
@@ -64,6 +68,50 @@ def test_allowance_splits_workers_by_weight(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Dispatch: the pool takes every wave it can split
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs two usable CPUs")
+def test_pool_takes_every_splittable_wave(tmp_path, monkeypatch):
+    """A multi-job wave ships to the pool however small it is; a
+    single-job wave and a jobs=1 request run in-process and never create
+    a pool executor.  The pooled cover equals the serial one."""
+    reset_fleet()
+    batches: list = []
+    executors: list = []
+    real_batch = JobRunner.run_batch_outcomes
+    real_pool = JobRunner._pool
+
+    def spy_batch(self, batch, *args, **kwargs):
+        batches.append((len(batch), sum(dag_size(job.dag) for job in batch)))
+        return real_batch(self, batch, *args, **kwargs)
+
+    def spy_pool(self):
+        if self._executor is None:
+            executors.append(self)
+        return real_pool(self)
+
+    monkeypatch.setattr(JobRunner, "run_batch_outcomes", spy_batch)
+    monkeypatch.setattr(JobRunner, "_pool", spy_pool)
+    try:
+        # 9sym is one single-job wave.
+        ddbdd_synthesize(build_circuit("9sym"), DDBDDConfig(jobs=2, faults=None))
+        serial = ddbdd_synthesize(build_circuit("misex1"), DDBDDConfig(jobs=1, faults=None))
+        # A cached jobs=1 request goes through the fleet, still in-process.
+        ddbdd_synthesize(build_circuit("misex1"), DDBDDConfig(
+            jobs=1, cache="readwrite", cache_dir=str(tmp_path), faults=None,
+        ))
+        assert batches == [] and executors == []
+
+        # misex1 is one wave of 7 jobs over 267 DAG nodes.
+        pooled = ddbdd_synthesize(build_circuit("misex1"), DDBDDConfig(jobs=2, faults=None))
+        assert batches == [(7, 267)]
+        assert len(executors) == 1
+        assert net_dump(pooled.network) == net_dump(serial.network)
+    finally:
+        reset_fleet()
+
+
+# ----------------------------------------------------------------------
 # Acceptance: K concurrent identical requests
 # ----------------------------------------------------------------------
 def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
@@ -73,8 +121,6 @@ def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
     as dedup hits."""
     K = 4
     reset_fleet()
-    # Force the inline compute path so the gate below intercepts it.
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 10**9)
 
     net = random_gate_network(13, n_pi=10, n_gates=60, n_po=6)
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))

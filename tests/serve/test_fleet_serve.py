@@ -14,7 +14,6 @@ from repro.serve.protocol import parse_submit
 from tests.serve.helpers import DaemonHarness
 
 import repro.runtime.fleet as fleet_mod
-import repro.runtime.schedule as sched
 
 
 def test_concurrent_submits_dedup_and_match(tmp_path, monkeypatch):
@@ -22,7 +21,6 @@ def test_concurrent_submits_dedup_and_match(tmp_path, monkeypatch):
     fleet = get_fleet()
     # Inline compute, gated until the second request hooks onto the
     # flight — makes the dedup overlap deterministic instead of a race.
-    monkeypatch.setattr(sched, "MIN_POOL_WORK", 10**9)
     real_compute = fleet_mod.run_supernode_job_guarded
 
     def gated(job):
