@@ -2,9 +2,9 @@
 
 Synthesizes the Table I benchgen suite four ways —
 
-* ``serial``      — the reference loop (``jobs=1``, cache off),
+* ``serial``      — ``jobs=1``, cache off: every wavefront in-process,
 * ``jobs4``       — four-worker wavefront engine, cache off,
-* ``cache_cold``  — serial wavefront engine populating an empty cache,
+* ``cache_cold``  — ``jobs=1`` wavefront engine populating an empty cache,
 * ``cache_warm``  — the same run again, now fully cache-hitting —
 
 and writes the wall times plus speedups to ``BENCH_runtime.json`` at the

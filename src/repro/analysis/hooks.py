@@ -14,8 +14,8 @@ hook                  runs (by level)
                       L2+: ``check_bdd_manager`` on the work manager over
                       the live supernode functions
 ``after_supernode``   L2+: ``check_network`` on the partially built LUT
-                      network and ``check_bdd_manager`` on the supernode's
-                      private DP manager
+                      network, plus the ``check_bdd_manager`` audit of the
+                      supernode's private DP manager that its job ran
 ``after_po_binding``  L1+: ``check_network`` on the emitted network
 ``final``             L1+: ``check_lut_cover`` against the result's claims;
                       L2+: adds the spot simulation against the source
@@ -50,7 +50,6 @@ from repro.analysis.diagnostics import (
     with_stage,
 )
 from repro.analysis.netcheck import check_network
-from repro.bdd.manager import BDDManager
 from repro.network.netlist import BooleanNetwork
 
 
@@ -98,19 +97,17 @@ class StageVerifier:
         self,
         mapped: BooleanNetwork,
         name: str,
-        mgr: Optional[BDDManager] = None,
-        func: Optional[int] = None,
+        dp_audit: Sequence[Diagnostic] = (),
     ) -> None:
-        """After one supernode's DP emission.  ``mgr``/``func`` are the
-        supernode's private DP manager and function, when available."""
+        """After one supernode's emission is spliced into ``mapped``.
+        ``dp_audit`` is the ``check_bdd_manager`` audit of the
+        supernode's private DP manager, which the job ran where the DP
+        ran (empty for a cache hit)."""
         if not self.enabled(2):
             return
         # The LUT network is mid-construction: POs are not bound yet, so
         # reachability (DD105) is meaningless here and stays a warning.
-        diags = check_network(mapped, strict_unreachable=False)
-        if mgr is not None:
-            roots = [func] if func is not None else None
-            diags += check_bdd_manager(mgr, roots=roots)
+        diags = check_network(mapped, strict_unreachable=False) + list(dp_audit)
         self._report(f"supernode:{name}", diags, keep_warnings=False)
 
     def after_po_binding(self, mapped: BooleanNetwork) -> None:

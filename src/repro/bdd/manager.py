@@ -691,7 +691,9 @@ class BDDManager:
         (identity by default).  The destination order may differ from the
         source order; the rebuild is done by Shannon expansion on the
         destination's top remaining variable, so the result is canonical
-        under the destination order.
+        under the destination order.  When the destination keeps the
+        source's relative order (every reorder rebuild does), the
+        expansion reduces to a node-by-node copy, which is taken directly.
         """
         if var_map is None:
             var_map = {v: v for v in self.support(f)}
@@ -700,6 +702,23 @@ class BDDManager:
             ((other.level_of(var_map[v]), v) for v in src_vars), key=lambda t: t[0]
         )
         dst_order_src_vars = [v for _, v in dst_levels]
+        if dst_order_src_vars == src_vars:
+            # The destination keeps the source's relative order: copy node
+            # by node.  The walk visits hi before lo, like the expansion
+            # below, so it creates the same rows in the same order.
+            copies: Dict[int, int] = {}
+
+            def copy(node: int) -> int:
+                if node <= 1:
+                    return node
+                got = copies.get(node)
+                if got is None:
+                    var, lo, hi = self.node(node)
+                    hi_copy = copy(hi)
+                    got = copies[node] = other._mk(var_map[var], copy(lo), hi_copy)
+                return got
+
+            return copy(f)
         cache: Dict[Tuple[int, int], int] = {}
 
         def build(node: int, depth: int) -> int:
@@ -842,26 +861,72 @@ class BDDManager:
         which includes garbage)."""
         return self.count_nodes_multi(roots)
 
-    def from_truth_table(self, bits: Sequence[int], variables: Sequence[int]) -> int:
+    def from_truth_table(self, bits: "Sequence[int] | str", variables: Sequence[int]) -> int:
         """Build a function from a truth table.
 
         ``bits[i]`` is the output for the input assignment whose bit ``k``
         (LSB-first over ``variables``) gives the value of
-        ``variables[k]``.
+        ``variables[k]``; a ``'0'``/``'1'`` string is read as-is.  A
+        repeated variable makes the rows that give it two values
+        unreachable, so they are ignored.  Shannon expansion bottom-up
+        in level order: at most ``2**len(set(variables)) - 1`` node
+        lookups.
         """
-        n = len(variables)
-        if len(bits) != (1 << n):
+        if len(bits) != (1 << len(variables)):
             raise BDDError("truth table length must be 2**len(variables)")
-        result = self.ZERO
-        for i, bit in enumerate(bits):
-            if not bit:
-                continue
-            term = self.ONE
-            for k, v in enumerate(variables):
-                lit = self.var(v) if (i >> k) & 1 else self.nvar(v)
-                term = self.apply_and(term, lit)
-            result = self.apply_or(result, term)
-        return result
+        order, rows = self._table_rows(variables)
+        if isinstance(bits, str):
+            funcs = [int(bits[r] == "1") for r in rows]
+        else:
+            funcs = [int(bool(bits[r])) for r in rows]
+        mk = self._mk
+        for v in reversed(order):
+            pairs = iter(funcs)
+            funcs = [lo if lo == hi else mk(v, lo, hi) for lo, hi in zip(pairs, pairs)]
+        return funcs[0]
+
+    def truth_table(self, f: int, variables: Sequence[int]) -> str:
+        """The ``'0'``/``'1'`` truth table of ``f`` over ``variables``,
+        the inverse of :meth:`from_truth_table`: one cofactor walk in
+        level order.  Rows that give a repeated variable two values read
+        ``'0'``.  Raises :class:`BDDError` when ``f`` depends on a
+        variable outside ``variables``."""
+        order, rows = self._table_rows(variables)
+        var_a = self._var
+        lo_a = self._lo
+        hi_a = self._hi
+        nodes = [f]
+        for v in order:
+            split: List[int] = []
+            for node in nodes:
+                i = node >> 1  # row 0, the terminal, tests variable -1
+                if var_a[i] == v:
+                    p = node & 1
+                    split += (lo_a[i] ^ p, hi_a[i] ^ p)
+                else:
+                    split += (node, node)
+            nodes = split
+        out = ["0"] * (1 << len(variables))
+        for row, node in zip(rows, nodes):
+            if node:
+                if node > 1:
+                    raise BDDError("function depends on a variable outside the table")
+                out[row] = "1"
+        return "".join(out)
+
+    def _table_rows(self, variables: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """The distinct ``variables`` top level first, and the table row
+        of each of their joint assignments, the deepest variable being
+        the least significant bit of the assignment's index."""
+        masks: Dict[int, int] = {}
+        for k, v in enumerate(variables):
+            masks[v] = masks.get(v, 0) | (1 << k)
+        order = sorted(masks, key=self._level_of.__getitem__)
+        rows = [0]
+        for v in reversed(order):
+            m = masks[v]
+            rows += [r | m for r in rows]
+        return order, rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BDDManager vars={self.num_vars} nodes={self.num_nodes}>"

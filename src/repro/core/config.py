@@ -18,7 +18,7 @@ from repro.utils import usable_cpus
 
 def _default_jobs() -> int:
     """Worker count default: the ``DDBDD_JOBS`` environment variable
-    when set (useful for CI sweeps), else 1 (serial).
+    when set (useful for CI sweeps), else 1 (in-process).
 
     A malformed value raises :class:`ValueError` naming the variable
     immediately — silently falling back to 1 (the old behaviour) hid
@@ -132,10 +132,12 @@ class DDBDDConfig:
         :class:`repro.analysis.diagnostics.VerificationError` with
         stable ``DDxxx`` codes.
     jobs:
-        Worker processes for supernode synthesis.  ``1`` (default) runs
-        the reference serial loop; ``0`` means "all CPUs"; ``N > 1``
-        runs topological wavefronts on a process pool (bit-identical
-        output — see :mod:`repro.runtime`).  Defaults to the
+        Worker processes for supernode synthesis.  Every value runs the
+        same wavefront engine (:mod:`repro.runtime`) with bit-identical
+        output: ``1`` (default) computes each wavefront in-process;
+        ``N > 1`` lets the process-wide fleet spread a wavefront over up
+        to ``N`` pool workers (clamped to the usable CPUs and to the
+        request's fair share); ``0`` means "all CPUs".  Defaults to the
         ``DDBDD_JOBS`` environment variable when set.
     cache:
         Persistent DP-emission cache mode: ``"off"`` (default, no cache
@@ -268,14 +270,3 @@ class DDBDDConfig:
         if self.jobs == 0:
             return usable_cpus()
         return self.jobs
-
-    @property
-    def resilience_active(self) -> bool:
-        """Whether any resilience machinery (budgets or fault injection)
-        is engaged — such runs must go through the guarded wavefront
-        engine, never the plain serial shortcut."""
-        return (
-            self.faults is not None
-            or self.job_deadline_s is not None
-            or self.job_node_budget is not None
-        )

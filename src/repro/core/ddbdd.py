@@ -13,25 +13,22 @@ The result is a K-feasible LUT network: its unit-delay depth is the
 paper's "mapping depth" and its node count the paper's "area" (number
 of LUTs).
 
-Since the :mod:`repro.flow` refactor the stage *sequence* lives there
-as a pass pipeline (``sweep;collapse;synth;map``);
-:func:`ddbdd_synthesize` is a thin wrapper that builds and runs the
-pipeline for its config.  This module keeps the flow's result type and
-the reference serial supernode engine
-(:func:`serial_supernodes` — Algorithm 1 step 3), which the ``synth``
-pass and the wavefront engine's degenerate fallback both execute.
+The stage *sequence* lives in :mod:`repro.flow` as a pass pipeline
+(``sweep;collapse;synth;map``); :func:`ddbdd_synthesize` is a thin
+wrapper that builds and runs the pipeline for its config.  Step 3 is
+the ``synth`` pass, which runs the wavefront engine
+(:func:`repro.runtime.schedule.wavefront_supernodes`) at every job
+count.  This module keeps the flow's result type and entry point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.analysis.hooks import StageVerifier
 from repro.core.collapse import CollapseStats
 from repro.core.config import DDBDDConfig
-from repro.core.dp import BDDSynthesizer, SupernodeResult
-from repro.network.depth import topological_order
+from repro.core.dp import SupernodeResult
 from repro.network.netlist import BooleanNetwork
 from repro.runtime.stats import RuntimeStats
 
@@ -70,69 +67,3 @@ def ddbdd_synthesize(
     from repro.flow import run_flow  # deferred: repro.flow imports this module
 
     return run_flow(net, config)
-
-
-def serial_supernodes(
-    work: BooleanNetwork,
-    mapped: BooleanNetwork,
-    config: DDBDDConfig,
-    verifier: StageVerifier,
-    resolve: Dict[str, Tuple[str, bool, int]],
-    external: set,
-) -> List[SupernodeResult]:
-    """The reference serial supernode loop (Algorithm 1, step 3).
-
-    Visits ``work`` in topological order, runs the Algorithm 3 DP per
-    real supernode and emits its cells into ``mapped``; ``resolve`` /
-    ``external`` are updated in place exactly as the wavefront engine
-    would (the determinism contract's ground truth).
-    """
-    supernode_results: List[SupernodeResult] = []
-    for name in topological_order(work):
-        node = work.nodes[name]
-        mgr = work.mgr
-        func = node.func
-        if mgr.is_terminal(func):
-            # Constant supernode: a zero-input LUT at depth 0.
-            const_name = mapped.fresh_name(f"{name}_const")
-            mapped.add_node_function(const_name, [], mapped.mgr.ONE if func == mgr.ONE else mapped.mgr.ZERO)
-            resolve[name] = (const_name, False, 0)
-            external.add(const_name)
-            continue
-        lit = _as_literal(work, node)
-        if lit is not None:
-            src, negated = lit
-            base, base_neg, d = resolve[src]
-            resolve[name] = (base, base_neg ^ negated, d)
-            continue
-
-        input_delays = {work.var_of(f): resolve[f][2] for f in node.fanins}
-        leaf_signals = {work.var_of(f): resolve[f] for f in node.fanins}
-        synth = BDDSynthesizer(mgr, func, input_delays, config)
-        result = synth.emit(mapped, leaf_signals, prefix=name)
-        sig, neg, depth = result.signal, result.negated, result.depth
-        if neg and sig in mapped.nodes and sig not in external:
-            # The supernode's output LUT was created by this emission
-            # and has no other consumers: absorb the complement into
-            # its function instead of inverting later.
-            lut = mapped.nodes[sig]
-            lut.func = mapped.mgr.negate(lut.func)
-            neg = False
-        resolve[name] = (sig, neg, depth)
-        external.add(sig)
-        supernode_results.append(result)
-        verifier.after_supernode(mapped, name, mgr=synth.mgr, func=synth.func)
-    return supernode_results
-
-
-def _as_literal(net: BooleanNetwork, node) -> Optional[Tuple[str, bool]]:
-    """If the node is a buffer/inverter of one signal, return
-    ``(source, negated)``."""
-    if len(node.fanins) != 1:
-        return None
-    v = net.var_of(node.fanins[0])
-    if node.func == net.mgr.var(v):
-        return (node.fanins[0], False)
-    if node.func == net.mgr.nvar(v):
-        return (node.fanins[0], True)
-    return None

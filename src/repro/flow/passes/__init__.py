@@ -11,8 +11,8 @@ historically lived inline in ``repro.core.ddbdd.ddbdd_synthesize``:
 * :mod:`repro.flow.passes.collapse` — ``collapse``: Algorithm 2
   gain-based partial collapsing into supernodes.
 * :mod:`repro.flow.passes.synth` — ``synth``: the per-supernode
-  Algorithm 3 dynamic program (serial reference loop or the
-  ``repro.runtime`` wavefront engine, selected per pass options).
+  Algorithm 3 dynamic program, run by the ``repro.runtime`` wavefront
+  engine (pass options set its jobs and cache).
 * :mod:`repro.flow.passes.finish` — ``map``: PO binding, duplicate
   merging, K-LUT covering/packing and the final audits.
 """

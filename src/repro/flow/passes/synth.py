@@ -1,14 +1,14 @@
 """The ``synth`` pass: Algorithm 1 step 3 (per-supernode DP synthesis).
 
 Visits the collapsed network's supernodes and emits each one's best
-delay-driven decomposition into the mapped K-LUT network.  The pass
-runs the reference topological loop
-(:func:`repro.core.ddbdd.serial_supernodes`) when ``jobs == 1``, the
-cache is off and no budget or fault plan is set; otherwise it runs the
+delay-driven decomposition into the mapped K-LUT network, through the
 :mod:`repro.runtime` phase A/B engine
-(:func:`repro.runtime.schedule.wavefront_supernodes`): topological
-wavefronts over a process pool plus the persistent content-addressed
-DP cache.  Both produce cell-for-cell equal output.
+(:func:`repro.runtime.schedule.wavefront_supernodes`) at every job
+count and cache mode: topological wavefronts through the persistent
+content-addressed DP cache and the process-wide fleet, which runs a
+wave in-process when it cannot split it (``jobs == 1``, or one job)
+and on its process pool otherwise.  The output is cell-for-cell the
+same whatever the job count or cache state.
 
 Pass options (flow script: ``synth(jobs=4, cache=readwrite)``) override
 the corresponding :class:`~repro.core.config.DDBDDConfig` knobs for
@@ -22,7 +22,6 @@ from dataclasses import replace
 from repro.analysis.diagnostics import WARNING, raise_on_errors, with_stage
 from repro.analysis.failcheck import check_failure_reports
 from repro.core.config import DDBDDConfig
-from repro.core.ddbdd import serial_supernodes
 from repro.flow.pipeline import BasePass
 from repro.flow.registry import register_pass
 from repro.flow.state import FlowState
@@ -61,28 +60,13 @@ class SynthPass(BasePass):
             state.resolve.update({pi: (pi, False, 0) for pi in state.work.pis})
             state.external.update(state.work.pis)
 
-        serial = (
-            config.effective_jobs == 1
-            and config.cache == "off"
-            and not config.resilience_active
-        )
         n_failures_before = len(stats.failures)
-        if serial:
-            with stats.stage("supernodes"):
-                results = serial_supernodes(
-                    state.work, state.mapped, config, state.verifier,
-                    state.resolve, state.external,
-                )
-            stats.supernodes += len(results)
-        else:
-            # The wavefront engine accounts its own supernode count and
-            # may itself degrade to the serial loop on a one-core,
-            # cache-off deployment (see repro.runtime.schedule).
-            with stats.stage("supernodes"):
-                results = wavefront_supernodes(
-                    state.work, state.mapped, config, state.verifier,
-                    state.resolve, state.external, stats,
-                )
+        # The engine accounts its own supernode count.
+        with stats.stage("supernodes"):
+            results = wavefront_supernodes(
+                state.work, state.mapped, config, state.verifier,
+                state.resolve, state.external, stats,
+            )
         state.supernode_results.extend(results)
 
         # Fold any failures this pass recovered (budget breaches that

@@ -209,7 +209,7 @@ def resynthesize(
         else:
             attempt_job = degraded_job(job, rung)
             try:
-                record = _execute_job(attempt_job, attempt_job.budget.meter())
+                record, _audit = _execute_job(attempt_job, attempt_job.budget.meter())
             except BudgetExceeded:
                 continue
         if verify_record(record, job.dag, job.polarities, job.k):

@@ -1,8 +1,7 @@
 """repro.runtime: parallel wavefront synthesis and the persistent DP cache.
 
-Execution layer for the DDBDD flow.  The serial supernode loop in
-:mod:`repro.core.ddbdd` stays the reference implementation; this package
-provides an equivalent engine that
+Execution layer for the DDBDD flow: the one engine of Algorithm 1
+step 3, which
 
 * groups supernodes into topological wavefronts and runs each wavefront
   on a process pool (:mod:`repro.runtime.schedule`,
@@ -26,11 +25,11 @@ provides an equivalent engine that
   breached jobs are resynthesized via the degradation ladder
   (:mod:`repro.resilience.ladder`).
 
-The engine is engaged by the ``synth`` pass of the
-:mod:`repro.flow` pipeline when ``DDBDDConfig.jobs != 1``,
-``DDBDDConfig.cache != "off"`` or a budget or fault plan is set, and is
-contractually deterministic: its output network is identical — names,
-fanins, functions — to the serial loop's.
+The ``synth`` pass of the :mod:`repro.flow` pipeline runs the engine
+at every job count and cache mode; a ``jobs=1`` request computes each
+wavefront in-process.  It is contractually deterministic: its output
+network — names, fanins, functions — does not depend on the job count
+or the cache state.
 """
 
 from repro.runtime.fleet import (

@@ -1,27 +1,28 @@
 """Picklable supernode emission records: export, replay, verification.
 
-The serial flow lets :meth:`repro.core.dp.BDDSynthesizer.emit` write LUT
-cells straight into the output network.  The runtime subsystem instead
-moves the DP into worker processes and the cache, which requires the
-emission to travel as *data*: an :class:`EmissionRecord` lists the cells
-in creation order, each as (fanin references, truth table), plus the
-supernode's output reference.
+Every supernode DP runs against a private manager — in a worker
+process or in-process — and may be served from the cache, so its
+emission reaches the output network as *data*: an
+:class:`EmissionRecord` lists the cells in creation order, each as
+(fanin references, truth table), plus the supernode's output reference.
 
 References are strings: ``"v<i>"`` is canonical input variable ``i`` of
 the supernode (see :mod:`repro.runtime.signature`), ``"c<j>"`` is the
 ``j``-th cell of this record.  Truth tables are ``'0'``/``'1'`` strings
 of length ``2**len(fanins)``; bit ``k`` of the row index gives the value
 of ``fanins[k]`` (LSB first), matching
-:meth:`repro.bdd.manager.BDDManager.from_truth_table`.
+:meth:`repro.bdd.manager.BDDManager.truth_table` (export) and
+:meth:`~repro.bdd.manager.BDDManager.from_truth_table` (replay).
 
-Leaf polarities are already folded into the truth tables (exactly as the
-serial emission folds them via its literal map), so a record is only
-valid for the polarity/arrival profile it was created under — both are
-part of the cache signature.
+Leaf polarities are already folded into the truth tables (exactly as
+:meth:`~repro.core.dp.BDDSynthesizer.emit` folds them via its literal
+map), so a record is only valid for the polarity/arrival profile it was
+created under — both are part of the cache signature.
 
-:func:`replay_record` splices a record into a target network,
-reproducing the serial emission cell-for-cell: same creation order, same
-name counters, same fanin lists, same local functions.
+:func:`replay_record` splices a record into a target network exactly as
+:meth:`~repro.core.dp.BDDSynthesizer.emit` would have written it there:
+same creation order, same name counters, same fanin lists, same local
+functions.
 :func:`verify_record` rebuilds the record as a throwaway network and
 audits it against the supernode function with
 :func:`repro.analysis.covercheck.check_lut_cover` (K-feasibility plus
@@ -128,7 +129,7 @@ def _check_ref(ref: str, num_cells: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Export (worker side / serial recording)
+# Export (DP side)
 # ----------------------------------------------------------------------
 def export_emission(
     net: BooleanNetwork,
@@ -154,7 +155,8 @@ def export_emission(
             fanins = tuple(ref_of[f] for f in node.fanins)
         except KeyError as exc:
             raise RecordError(f"cell {name!r} uses foreign signal {exc.args[0]!r}") from exc
-        cells.append(EmissionCell(fanins, _truth_of(net, name)))
+        variables = [net.var_of(f) for f in node.fanins]
+        cells.append(EmissionCell(fanins, net.mgr.truth_table(node.func, variables)))
         ref_of[name] = f"c{len(cells) - 1}"
     out_sig, out_neg, out_depth = out
     if out_sig not in ref_of:
@@ -170,19 +172,6 @@ def export_emission(
     )
 
 
-def _truth_of(net: BooleanNetwork, name: str) -> str:
-    """Truth table string of one cell over its fanin order (the row
-    index encodes one value per fanin, LSB first; width ``2**fanins``)."""
-    node = net.nodes[name]
-    variables = [net.var_of(f) for f in node.fanins]
-    rows = 1 << len(variables)
-    out = []
-    for i in range(rows):
-        assignment = {v: bool((i >> k) & 1) for k, v in enumerate(variables)}
-        out.append("1" if net.mgr.eval(node.func, assignment) else "0")
-    return "".join(out)
-
-
 # ----------------------------------------------------------------------
 # Replay (parent side)
 # ----------------------------------------------------------------------
@@ -195,49 +184,36 @@ def replay_record(
     """Splice ``record`` into ``net``; returns ``(signal, neg, depth)``.
 
     ``leaves[i]`` is the ``(signal, negated, depth)`` triple behind
-    canonical variable ``i`` — the same triple the serial flow would
-    have passed as a leaf signal.  Negations are already folded into the
-    record's truth tables, so only the signal names and depths are
-    consumed here.
+    canonical variable ``i`` — the leaf signal a direct emission would
+    have been given.  Negations are already folded into the record's
+    truth tables, so only the signal names are consumed here.
 
-    Cells are created with the serial flow's exact naming scheme
+    Cells are created with the emitter's naming scheme
     (``fresh_name(f"{prefix}_{counter}_")`` in creation order), so a
-    replay is name-identical to the serial emission it stands in for.
+    replay is name-identical to a direct emission into ``net``.  A leaf
+    reference beyond ``leaves`` raises :class:`RecordError`.
     """
-    cell_names: List[str] = []
+    # ref -> (signal, variable): leaves resolve on first use, cells as
+    # they are created.
+    resolved: Dict[str, Tuple[str, int]] = {}
 
-    def resolve(ref: str) -> str:
-        if ref[0] == "v":
-            return leaves[int(ref[1:])][0]
-        return cell_names[int(ref[1:])]
+    def resolve(ref: str) -> Tuple[str, int]:
+        got = resolved.get(ref)
+        if got is None:
+            idx = int(ref[1:])
+            if ref[0] != "v" or idx >= len(leaves):
+                raise RecordError(f"reference {ref!r} out of range for this supernode")
+            sig = leaves[idx][0]
+            got = resolved[ref] = (sig, net.var_of(sig))
+        return got
 
     for i, cell in enumerate(record.cells):
-        if any(int(r[1:]) >= len(leaves) for r in cell.fanins if r[0] == "v"):
-            raise RecordError("leaf reference out of range for this supernode")
-        names = [resolve(r) for r in cell.fanins]
-        variables = [net.var_of(n) for n in names]
-        func = net.mgr.from_truth_table([int(b) for b in cell.truth], variables)
+        fanins = [resolve(r) for r in cell.fanins]
+        func = net.mgr.from_truth_table(cell.truth, [v for _, v in fanins])
         name = net.fresh_name(f"{prefix}_{i + 1}_")
-        net.add_node_function(name, _unique(names), func)
-        cell_names.append(name)
-    if record.out_ref[0] == "v":
-        idx = int(record.out_ref[1:])
-        if idx >= len(leaves):
-            raise RecordError("output leaf reference out of range")
-        sig = leaves[idx][0]
-    else:
-        sig = cell_names[int(record.out_ref[1:])]
-    return (sig, record.out_neg, record.out_depth)
-
-
-def _unique(items: Sequence[str]) -> List[str]:
-    seen = set()
-    out: List[str] = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+        net.add_node_function(name, list(dict.fromkeys(s for s, _ in fanins)), func)
+        resolved[f"c{i}"] = (name, net.var_of(name))
+    return (resolve(record.out_ref)[0], record.out_neg, record.out_depth)
 
 
 # ----------------------------------------------------------------------

@@ -510,7 +510,7 @@ class FleetScheduler:
             if outcome is None:
                 with req.stats.stage("dp"):
                     outcome = self._compute_single(req, item.job)
-                if outcome.ok and req.writable:
+                if outcome.shareable and req.writable:
                     with req.stats.stage("cache"):
                         if req.store_put(item.key, outcome.record):
                             req.stats.cache_puts += 1
@@ -524,7 +524,7 @@ class FleetScheduler:
             if flight is not None:
                 shareable = (
                     outcome
-                    if (outcome is not None and outcome.ok and req.shares)
+                    if (outcome is not None and outcome.shareable and req.shares)
                     else None
                 )
                 self._publish(item.key, flight, shareable)
@@ -595,18 +595,19 @@ class FleetScheduler:
                     self._publish(item.key, flight, None)
             raise
         for (item, flight), outcome in zip(leaders, outcomes):
-            if outcome.ok and req.writable and item.key is not None:
+            if outcome.shareable and req.writable and item.key is not None:
                 with req.stats.stage("cache"):
                     if req.store_put(item.key, outcome.record):
                         req.stats.cache_puts += 1
             # Breach outcomes go back to the engine's degradation ladder
             # un-published as results but the flight must still release:
-            # a ladder output is request-local and never shareable.
+            # a ladder output is request-local and never shareable, and
+            # neither is a record whose DP-manager audit failed.
             results[item.name] = outcome
             with self._lock:
                 self.jobs_computed += 1
             if flight is not None:
-                shareable = outcome if (outcome.ok and req.shares) else None
+                shareable = outcome if (outcome.shareable and req.shares) else None
                 self._publish(item.key, flight, shareable)
 
     def _publish(
@@ -643,7 +644,7 @@ class FleetScheduler:
             self.dedup_retries += 1
         with req.stats.stage("dp"):
             outcome = self._compute_single(req, item.job)
-        if outcome.ok and req.writable and item.key is not None:
+        if outcome.shareable and req.writable and item.key is not None:
             with req.stats.stage("cache"):
                 if req.store_put(item.key, outcome.record):
                     req.stats.cache_puts += 1

@@ -3,17 +3,20 @@
 A :class:`SupernodeJob` is a self-contained, picklable description of
 one supernode DP instance: the canonical BDD DAG, the per-canonical-
 variable arrival/polarity profiles and the DP-relevant config knobs.
-:func:`run_supernode_job_guarded` — the worker entry point — rebuilds
-a private :class:`~repro.bdd.manager.BDDManager` from the DAG, runs the
-exact serial :class:`~repro.core.dp.BDDSynthesizer` against placeholder
-leaf signals ``v0..v{n-1}``, and exports the resulting cells as an
-:class:`~repro.runtime.emission.EmissionRecord`.
+:func:`run_supernode_job_guarded` — the entry point of every supernode
+DP, in a worker or in-process — rebuilds a private
+:class:`~repro.bdd.manager.BDDManager` from the DAG, runs the
+:class:`~repro.core.dp.BDDSynthesizer` against placeholder leaf signals
+``v0..v{n-1}``, and exports the resulting cells as an
+:class:`~repro.runtime.emission.EmissionRecord`.  A job made at
+``verify_level`` 2 also audits the DP's private manager
+(:func:`~repro.analysis.bddcheck.check_bdd_manager`) and returns the
+diagnostics on its :class:`JobOutcome`.
 
 Determinism: the canonical rebuild preserves the relative support order
-and the reordering/DP code is purely structural, so a worker's record
-replayed by the parent is cell-for-cell identical to what the serial
-flow would have emitted (tests/runtime/test_determinism.py holds this
-line).
+and the reordering/DP code is purely structural, so a record is a pure
+function of its job, whichever process ran it
+(tests/runtime/test_determinism.py holds this line).
 
 :class:`JobRunner` hides the execution strategy: in-process for
 ``jobs == 1`` (or single-job batches, where process round-trips cannot
@@ -59,6 +62,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.bddcheck import check_bdd_manager
+from repro.analysis.diagnostics import Diagnostic, errors_of
 from repro.core.config import DDBDDConfig
 from repro.core.dp import BDDSynthesizer
 from repro.network.netlist import BooleanNetwork
@@ -77,7 +82,9 @@ class SupernodeJob:
     — the deterministic 1-based job number (fault-plan addressing) and
     the per-job budget — and deliberately not part of
     :meth:`signature`: they do not change what the DP computes, only
-    whether it is allowed to finish.
+    whether it is allowed to finish.  Neither is ``audit_manager``
+    (``verify_level >= 2``: audit the DP's private manager after
+    emission), which only checks the computation.
     """
 
     name: str
@@ -93,6 +100,7 @@ class SupernodeJob:
     seq: int = 0
     deadline_s: Optional[float] = None
     node_budget: Optional[int] = None
+    audit_manager: bool = False
 
     @staticmethod
     def from_config(
@@ -117,6 +125,7 @@ class SupernodeJob:
             seq=seq,
             deadline_s=config.job_deadline_s,
             node_budget=config.job_node_budget,
+            audit_manager=config.verify_level >= 2,
         )
 
     def signature(self) -> str:
@@ -145,16 +154,25 @@ class JobOutcome:
     ``breach_reason`` is empty on success, else ``"deadline"`` or
     ``"nodes"`` with the budget spent at the breach — everything the
     degradation ladder needs to resynthesize the supernode.
+    ``diagnostics`` holds the DP-manager audit of an
+    :attr:`SupernodeJob.audit_manager` job.
     """
 
     record: Optional[EmissionRecord]
     breach_reason: str = ""
     spent_s: float = 0.0
     spent_nodes: int = 0
+    diagnostics: Tuple[Diagnostic, ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.record is not None
+
+    @property
+    def shareable(self) -> bool:
+        """A record other requests and the cache may reuse: present, and
+        its DP-manager audit (if any) clean."""
+        return self.record is not None and not errors_of(self.diagnostics)
 
 
 @dataclass(frozen=True)
@@ -172,9 +190,12 @@ class PoolFailureEvent:
     action: str
 
 
-def _execute_job(job: SupernodeJob, meter: Optional[BudgetMeter]) -> EmissionRecord:
+def _execute_job(
+    job: SupernodeJob, meter: Optional[BudgetMeter]
+) -> Tuple[EmissionRecord, Tuple[Diagnostic, ...]]:
     """Run the DP for one job (optionally metered) and export the
-    emission.  Must touch nothing but the job payload."""
+    emission, plus the DP-manager audit when the job asks for one.
+    Must touch nothing but the job payload."""
     mgr, func = rebuild_dag(job.dag)
     n = job.dag.num_vars
     config = DDBDDConfig(
@@ -199,7 +220,7 @@ def _execute_job(job: SupernodeJob, meter: Optional[BudgetMeter]) -> EmissionRec
         leaf_ref[pi] = pi
     synth = BDDSynthesizer(mgr, func, input_delays, config, meter=meter)
     result = synth.emit(scratch, leaf_signals, prefix="sn")
-    return export_emission(
+    record = export_emission(
         scratch,
         created=list(scratch.nodes),
         leaf_ref=leaf_ref,
@@ -208,6 +229,9 @@ def _execute_job(job: SupernodeJob, meter: Optional[BudgetMeter]) -> EmissionRec
         bdd_size=result.bdd_size,
         num_inputs=result.num_inputs,
     )
+    if not job.audit_manager:
+        return record, ()
+    return record, tuple(check_bdd_manager(synth.mgr, roots=[synth.func]))
 
 
 def run_supernode_job(job: SupernodeJob) -> EmissionRecord:
@@ -215,7 +239,7 @@ def run_supernode_job(job: SupernodeJob) -> EmissionRecord:
     injection: the reference record the guarded path must reproduce.
     Touches nothing but the job payload.
     """
-    return _execute_job(job, None)
+    return _execute_job(job, None)[0]
 
 
 def run_supernode_job_guarded(job: SupernodeJob) -> JobOutcome:
@@ -233,10 +257,10 @@ def run_supernode_job_guarded(job: SupernodeJob) -> JobOutcome:
         meter = budget.meter(forced_breach=forced)
     fault_mod.fire_job_faults(job.seq)
     try:
-        record = _execute_job(job, meter)
+        record, audit = _execute_job(job, meter)
     except BudgetExceeded as exc:
         return JobOutcome(None, exc.reason, exc.spent_s, exc.spent_nodes)
-    return JobOutcome(record)
+    return JobOutcome(record, diagnostics=audit)
 
 
 def run_supernode_jobs_guarded(jobs: Sequence[SupernodeJob]) -> List[JobOutcome]:

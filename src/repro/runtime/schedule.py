@@ -1,9 +1,10 @@
-"""Wavefront scheduling of supernode synthesis.
+"""Wavefront scheduling of supernode synthesis: the one engine of
+Algorithm 1 step 3.
 
 The collapsed network's supernodes form a DAG; Algorithm 1 visits them
-serially in topological order, but each supernode's DP only needs the
-*mapping depths* of its fanins — data, not network mutations.  This
-module splits the serial loop into two phases:
+in topological order, but each supernode's DP only needs the *mapping
+depths* of its fanins — data, not network mutations.  This module
+splits the visit into two phases, at every job count and cache mode:
 
 **Phase A (compute)** groups real supernodes into topological wavefronts
 (``level = 1 + max(level of fanins)``; constant nodes sit at level 0 and
@@ -14,18 +15,20 @@ each wavefront is dispatched as a batch to the process-wide
 content-addressed cache first (:mod:`repro.runtime.tiers`), then
 through singleflight dedup against other in-flight requests, and
 only then to a :class:`~repro.runtime.pool.JobRunner` (the fleet's
-shared pool, or a private one for fault-armed runs).
+shared pool, or a private one for fault-armed runs).  A wave the fleet
+cannot split — one job, or a jobs=1 request — runs in-process.
 Only ``(polarity, depth)`` resolution is tracked in this phase; nothing
 is written to the output network.
 
-**Phase B (splice)** then replays every node in the *original serial
-topological order* — constants and literal chains with the serial
-flow's own code path, supernodes via
-:func:`~repro.runtime.emission.replay_record`.  Because replay
-reproduces the serial emission cell-for-cell and the splice order equals
-the serial visit order, the resulting network is identical (same names,
-same fanins, same cell functions) to what the serial loop builds —
-that is the determinism contract ``jobs=N ≡ jobs=1``.
+**Phase B (splice)** then walks every node in topological order —
+constants become zero-input LUTs, literal chains resolve to their
+source, supernodes replay their records via
+:func:`~repro.runtime.emission.replay_record` and report their
+DP-manager audits to the stage verifier.  Records are pure functions of
+their jobs, and the splice order is fixed by the network alone, so the
+resulting network (names, fanins, cell functions) does not depend on
+the job count, the cache state or which process ran a DP — that is the
+determinism contract ``jobs=N ≡ jobs=1``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.hooks import StageVerifier
 from repro.core.config import DDBDDConfig
 from repro.core.dp import SupernodeResult
@@ -46,7 +50,6 @@ from repro.runtime.pool import JobOutcome, JobRunner, SupernodeJob
 from repro.runtime.signature import CanonicalDAG, export_dag
 from repro.runtime.stats import FailureReport, RuntimeStats
 from repro.runtime.tiers import CacheTelemetry
-from repro.utils import usable_cpus
 
 KIND_CONST = "const"
 KIND_LITERAL = "literal"
@@ -81,9 +84,8 @@ class WavePlan:
 def classify_node(work: BooleanNetwork, name: str) -> Tuple[str, Optional[Tuple[str, bool]]]:
     """Kind of one node; for literals also ``(source, negated)``.
 
-    Mirrors the serial flow's special cases exactly: terminals are
-    constants, single-fanin buffers/inverters are literals, everything
-    else is a real supernode.
+    Terminals are constants, single-fanin buffers/inverters are
+    literals, everything else is a real supernode.
     """
     node = work.nodes[name]
     if work.mgr.is_terminal(node.func):
@@ -163,13 +165,13 @@ def wavefront_supernodes(
     external: Set[str],
     stats: RuntimeStats,
 ) -> List[SupernodeResult]:
-    """The phase A/B wavefront engine (the ``synth`` pass runs it unless
-    the serial loop is exactly equivalent and cheaper).
+    """The phase A/B wavefront engine (the ``synth`` pass's body).
 
-    Drop-in replacement for the serial supernode loop
-    (:func:`repro.core.ddbdd.serial_supernodes`); mutates ``resolve`` /
-    ``external`` exactly as the serial loop would and returns the
-    :class:`~repro.core.dp.SupernodeResult` list in serial order.
+    Emits every supernode of ``work`` into ``mapped``, extends
+    ``resolve`` (signal → ``(mapped signal, negated, depth)``) and
+    ``external`` (mapped signals with outside consumers), and returns
+    the :class:`~repro.core.dp.SupernodeResult` list in topological
+    order.
     """
     plan = plan_wavefronts(work)
     for wave in plan.levels:
@@ -181,31 +183,10 @@ def wavefront_supernodes(
     store = fleet.store_for(config)
     tele = CacheTelemetry() if store is not None else None
 
-    # Degenerate deployment: the pool is clamped to one worker (fewer
-    # CPUs than jobs) and no cache is in play.  The DAG-export / job /
-    # record-replay indirection exists to cross a process or cache
-    # boundary; with neither boundary it is ~15% pure overhead, so run
-    # the contractually-identical serial loop instead (wavefront
-    # telemetry above is kept — the plan is the same either way).
-    # Resilience runs (budgets or fault injection) always take the
-    # guarded engine below, whatever the worker count.
-    if (
-        store is None
-        and not config.resilience_active
-        and min(config.effective_jobs, usable_cpus()) == 1
-    ):
-        from repro.core.ddbdd import serial_supernodes
-
-        with stats.stage("dp"):
-            results = serial_supernodes(
-                work, mapped, config, verifier, resolve, external
-            )
-        stats.supernodes += len(results)
-        return results
-
     # Phase A: per-signal (negated, depth) without touching `mapped`.
     vres: Dict[str, Tuple[bool, int]] = {pi: (False, 0) for pi in work.pis}
-    jobinfo: Dict[str, Tuple[CanonicalDAG, EmissionRecord]] = {}
+    # name -> (DAG, record, DP-manager audit diagnostics)
+    jobinfo: Dict[str, Tuple[CanonicalDAG, EmissionRecord, Tuple[Diagnostic, ...]]] = {}
     # Deterministic 1-based job numbering in wavefront order — the
     # address space of the fault plan.  Cache hits consume a seq too,
     # so a plan stays stable under a warm cache... but note a hit means
@@ -261,7 +242,7 @@ def wavefront_supernodes(
                             # Deliberately never cached (and never handed
                             # to a deduped waiter): a ladder output under
                             # the clean signature would poison later runs.
-                        jobinfo[item.name] = (item.job.dag, record)
+                        jobinfo[item.name] = (item.job.dag, record, outcome.diagnostics)
                     # Resolve polarities/depths for this level (jobs
                     # first, then pass-through nodes that may read them).
                     for name in wave.jobs:
@@ -292,7 +273,7 @@ def wavefront_supernodes(
         stats.cache_corruptions += tele.total("corruptions")
         stats.cache_evictions += tele.total("evictions")
 
-    # Phase B: splice in the serial topological order.
+    # Phase B: splice in topological order.
     supernode_results: List[SupernodeResult] = []
     mgr = work.mgr
     with stats.stage("splice"):
@@ -314,7 +295,7 @@ def wavefront_supernodes(
                 base, base_neg, d = resolve[src]
                 resolve[name] = (base, base_neg ^ negated, d)
                 continue
-            dag, record = jobinfo[name]
+            dag, record, audit = jobinfo[name]
             fanin_by_var = {work.var_of(f): f for f in node.fanins}
             leaves = [resolve[fanin_by_var[var]] for var in dag.var_map]
             sig, neg, depth = replay_record(mapped, record, leaves, prefix=name)
@@ -335,6 +316,6 @@ def wavefront_supernodes(
             resolve[name] = (sig, neg, depth)
             external.add(sig)
             supernode_results.append(result)
-            verifier.after_supernode(mapped, name)
+            verifier.after_supernode(mapped, name, audit)
     stats.supernodes += len(supernode_results)
     return supernode_results

@@ -26,8 +26,9 @@ checking, not results).
 The canonical DAG doubles as the wire format for worker processes
 (:mod:`repro.runtime.pool`): :func:`rebuild_dag` reconstructs a private
 :class:`~repro.bdd.manager.BDDManager` holding exactly the function, on
-which the DP behaves identically to the serial flow (the reordering
-engines are structural, so canonical relabeling does not perturb them).
+which the DP behaves exactly as it would on the source manager (the
+reordering engines are structural, so canonical relabeling does not
+perturb them).
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def rebuild_dag(dag: CanonicalDAG) -> Tuple[BDDManager, int]:
     The manager has ``dag.num_vars`` variables in identity order, so
     canonical index ``i`` is variable ``i`` at level ``i`` — the same
     relative order the source support had, which keeps the downstream
-    reordering and DP bit-compatible with the serial flow.
+    reordering and DP bit-compatible with a run on the source manager.
     """
     mgr = BDDManager(dag.num_vars)
     funcs: List[int] = [mgr.ZERO, mgr.ONE]

@@ -267,8 +267,7 @@ class RuntimeStats:
         :class:`repro.flow.Pipeline` runner).
     wavefront_widths:
         Number of concurrently synthesizable supernodes per topological
-        wavefront (empty for the pure serial path, which has no
-        wavefront structure).
+        wavefront (at every job count; they sum to ``supernodes``).
     supernodes:
         Supernodes that ran the DP or replayed a cached emission.
     cache_hits / cache_misses / cache_puts:

@@ -73,6 +73,49 @@ def test_hook_raises_with_stage_tag():
     assert any(d.code == "DD102" for d in exc.value.diagnostics)
 
 
+@pytest.fixture
+def corrupt_dp_managers(monkeypatch):
+    """Drop a live row from each job's private DP manager after a good
+    emission: the record itself stays correct, so only the
+    per-supernode manager audit can see it, wherever the job ran."""
+    from repro.core import dp
+    from repro.runtime.fleet import reset_fleet
+
+    emit = dp.BDDSynthesizer.emit
+
+    def emit_then_drop_a_unique_row(self, net, leaf_signals, prefix):
+        result = emit(self, net, leaf_signals, prefix)
+        mgr, row = self.mgr, self.func >> 1
+        del mgr._unique[mgr._ukey(mgr._var[row], mgr._lo[row], mgr._hi[row])]
+        return result
+
+    monkeypatch.setattr(dp.BDDSynthesizer, "emit", emit_then_drop_a_unique_row)
+    reset_fleet()  # pool workers forked from here on inherit the patch
+    yield
+    reset_fleet()  # retire the patched workers
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_level_2_audits_the_dp_manager_at_every_job_count(jobs, corrupt_dp_managers):
+    net = random_gate_network(2, n_pi=10, n_gates=60, n_po=6)
+    with pytest.raises(VerificationError) as exc:
+        ddbdd_synthesize(net, DDBDDConfig(jobs=jobs, verify_level=2))
+    assert exc.value.stage.startswith("supernode:")
+    assert any(d.code == "DD204" for d in exc.value.diagnostics)
+
+
+def test_records_that_fail_the_dp_audit_are_not_cached(corrupt_dp_managers, tmp_path):
+    from repro.runtime.fleet import reset_fleet
+
+    net = random_gate_network(2, n_pi=10, n_gates=60, n_po=6)
+    audited = DDBDDConfig(verify_level=2, cache="readwrite", cache_dir=str(tmp_path))
+    with pytest.raises(VerificationError):
+        ddbdd_synthesize(net, audited)
+    reset_fleet()  # read sqlite, not the memory tier
+    result = ddbdd_synthesize(net, DDBDDConfig(cache="read", cache_dir=str(tmp_path)))
+    assert result.runtime_stats.cache_hits == 0
+
+
 def test_final_hook_catches_depth_lie():
     net = random_gate_network(9, n_pi=6, n_gates=12, n_po=2)
     result = ddbdd_synthesize(net, DDBDDConfig(k=4))

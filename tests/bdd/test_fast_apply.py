@@ -202,7 +202,9 @@ TABLE1_GOLDEN = {
     "misex1": (3, 76),
     "9sym": (3, 13),
     "sse": (5, 1199),
-    "ttt2": (10, 445),
+    # The seed flow gave 445 LUTs here; from b45d212 (the complement-edge
+    # store rewrite) on, the flow gives 447.
+    "ttt2": (10, 447),
     "count": (2, 33),
     "lal": (10, 551),
 }

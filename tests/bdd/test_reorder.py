@@ -146,3 +146,55 @@ def test_property_sift_preserves_semantics(bits):
     for i in range(32):
         env = {v: bool((i >> v) & 1) for v in range(5)}
         assert sm.eval(sf, env) == bool(bits[i])
+
+
+def shannon_transfer(src, f, dst, var_map):
+    """Reference rebuild: Shannon expansion on the destination's top
+    remaining variable, hi before lo (every order is supported)."""
+    src_vars = src.support_ordered(f)
+    order = [v for _, v in sorted((dst.level_of(var_map[v]), v) for v in src_vars)]
+    cache = {}
+
+    def build(node, depth):
+        if node <= 1:
+            return node
+        if (node, depth) not in cache:
+            v = order[depth]
+            hi = build(src.cofactor(node, v, True), depth + 1)
+            lo = build(src.cofactor(node, v, False), depth + 1)
+            cache[node, depth] = dst._mk(var_map[v], lo, hi)
+        return cache[node, depth]
+
+    return build(f, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=64, max_size=64),
+    src_order=st.permutations(range(6)),
+    targets=st.permutations(range(9)),
+    negate=st.booleans(),
+    seed=st.integers(0, 3),
+)
+def test_order_preserving_transfer_creates_the_reference_rows(
+    bits, src_order, targets, negate, seed
+):
+    # A destination that keeps the source's relative order takes the
+    # node-by-node copy; it must create exactly the rows, in exactly the
+    # order, of the Shannon rebuild (the DP breaks ties on raw handles).
+    src = BDDManager(6, order=list(src_order))
+    f = src.from_truth_table(bits, list(range(6)))
+    f = src.negate(f) if negate else f
+    support = src.support_ordered(f)
+    var_map = {v: t for v, t in zip(support, sorted(targets[: len(support)]))}
+    dsts = []
+    for _ in range(2):
+        dst = BDDManager(9)
+        rng = random.Random(seed)
+        for _ in range(seed):  # a destination that already holds rows
+            dst.from_truth_table([rng.randint(0, 1) for _ in range(8)], [0, 4, 8])
+        dsts.append(dst)
+    got = src.transfer(f, dsts[0], var_map)
+    want = shannon_transfer(src, f, dsts[1], var_map)
+    assert got == want
+    assert (dsts[0]._var, dsts[0]._lo, dsts[0]._hi) == (dsts[1]._var, dsts[1]._lo, dsts[1]._hi)

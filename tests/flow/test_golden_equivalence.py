@@ -62,5 +62,6 @@ TABLE1_BLIF_SHA256 = {
 @pytest.mark.parametrize("name", TABLE1_SUITE)
 def test_table1_blif_sha256_pinned(name, jobs):
     result = ddbdd_synthesize(build_circuit(name), DDBDDConfig(jobs=jobs))
+    assert (result.depth, result.area) == TABLE1_GOLDEN[name]
     blif = network_to_blif(result.network)
     assert hashlib.sha256(blif.encode()).hexdigest() == TABLE1_BLIF_SHA256[name]

@@ -87,10 +87,6 @@ def test_explicit_faults_validated_eagerly(monkeypatch):
         DDBDDConfig(faults="nonsense")
     with pytest.raises(ValueError):
         DDBDDConfig(faults="   ")
-    assert DDBDDConfig(faults="stall@job=1").resilience_active
-    assert not DDBDDConfig().resilience_active
-    assert DDBDDConfig(job_deadline_s=1.0).resilience_active
-    assert DDBDDConfig(job_node_budget=100).resilience_active
 
 
 def test_budget_config_validation():

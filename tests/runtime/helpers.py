@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.network.netlist import BooleanNetwork
-from repro.runtime.emission import _truth_of
 
 
 def net_dump(net: BooleanNetwork) -> tuple:
@@ -16,5 +15,6 @@ def net_dump(net: BooleanNetwork) -> tuple:
     nodes: List[Tuple[str, tuple, str]] = []
     for name in net.nodes:
         node = net.nodes[name]
-        nodes.append((name, tuple(node.fanins), _truth_of(net, name)))
+        variables = [net.var_of(f) for f in node.fanins]
+        nodes.append((name, tuple(node.fanins), net.mgr.truth_table(node.func, variables)))
     return (tuple(net.pis), tuple(sorted(net.pos.items())), tuple(nodes))

@@ -1,5 +1,5 @@
 """The determinism contract: the wavefront engine's output network is
-identical — names, fanins, truth tables, depths — to the serial loop's,
+identical — names, fanins, truth tables, depths — to its jobs=1 run's,
 for any worker count."""
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ def test_wavefront_stats_populated():
     assert stats.render().startswith("runtime: jobs=4")
 
 
-def test_serial_path_records_stats_without_wavefronts():
+def test_jobs1_records_wavefront_stats():
     net = random_gate_network(1, n_gates=25)
     result = ddbdd_synthesize(net, DDBDDConfig(jobs=1))
     stats = result.runtime_stats
     assert stats is not None
     assert stats.jobs == 1 and stats.cache_mode == "off"
-    assert stats.wavefront_widths == []
+    assert sum(stats.wavefront_widths) == stats.supernodes
     assert "supernodes" in stats.stage_seconds
 
 

@@ -5,6 +5,8 @@ transformation and flow must preserve their PO functions, and the
 metrics must obey their invariants.
 """
 
+import tempfile
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -13,7 +15,9 @@ from repro.core.collapse import partial_collapse
 from repro.network.depth import depth_map, network_depth
 from repro.network.netlist import BooleanNetwork
 from repro.network.transform import merge_duplicates, sweep
+from repro.runtime.fleet import reset_fleet
 from tests.conftest import assert_equivalent
+from tests.runtime.helpers import net_dump
 
 _OPS2 = ["and", "or", "nand", "nor", "xor", "xnor"]
 
@@ -85,3 +89,28 @@ def test_property_depth_map_consistent(net):
     for name, node in net.nodes.items():
         expected = 1 + max((depths[f] for f in node.fanins), default=-1)
         assert depths[name] == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(net=networks(max_pis=8, max_gates=30))
+def test_property_runtime_matrix_agrees(net):
+    # Differential matrix: jobs 1/2 x cache off / readwrite-cold /
+    # readwrite-warm (from sqlite, after the memory tier is dropped).
+    # Every cell must emit the same network, equivalent to the source,
+    # K-feasible and with the depth it claims.
+    dumps = {}
+    for jobs in (1, 2):
+        with tempfile.TemporaryDirectory() as root:
+            for label, cache in (("off", "off"), ("cold", "readwrite"), ("warm", "readwrite")):
+                if label == "warm":
+                    reset_fleet()
+                config = DDBDDConfig(jobs=jobs, cache=cache, cache_dir=root)
+                result = ddbdd_synthesize(net, config)
+                if label == "warm":
+                    assert result.runtime_stats.cache_misses == 0
+                assert result.network.max_fanin() <= config.k
+                assert result.depth == network_depth(result.network)
+                assert_equivalent(net, result.network, f"jobs={jobs} cache={label}")
+                dumps[jobs, label] = net_dump(result.network)
+    reset_fleet()
+    assert len(set(dumps.values())) == 1, sorted(dumps)
