@@ -123,6 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro.serve.protocol import PROTOCOL_SCHEMA
+
     print(f"ddbdd_doctor: golden serial run of {args.circuit!r} ...")
     depth, area, blif = golden_run(args.circuit)
     print(f"ddbdd_doctor: golden depth={depth} area={area} blif={len(blif)}B")
@@ -160,7 +162,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         check("/healthz answers 200", status == 200)
         check(
             "/healthz carries schema+version",
-            health.get("schema") == 1 and bool(health.get("version")),
+            health.get("schema") == PROTOCOL_SCHEMA and bool(health.get("version")),
             str(health.get("version")),
         )
         check("daemon is serving", health.get("state") == "serving")

@@ -22,8 +22,8 @@ the system *claims* rather than trusting it.
   the static call graph (feeds the fork-safety rule).
 * :mod:`repro.analysis.detcheck` — the determinism & fork-safety
   analyzer (``ddbdd lint --det``), rules ``DD5xx``: hash-order leaks,
-  nondeterminism sources, float-sum convention, fork-unsafe worker
-  code and stale flow-pass contracts.
+  nondeterminism sources, float-sum convention and fork-unsafe worker
+  code.
 """
 
 from repro.analysis.bddcheck import check_bdd_manager

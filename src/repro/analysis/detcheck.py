@@ -47,15 +47,6 @@ Rules
     ``repro/runtime/fleet.py`` — rebinds or mutates module-level
     globals or references a module-level open file handle.  Workers
     must touch nothing but the job payload.
-``DD505``
-    Flow-contract staleness: a registered pass
-    (``repro/flow/passes/*``) reads or writes a gated
-    :class:`~repro.flow.state.FlowState` field (``None``-default or
-    boolean) that its declared ``requires``/``provides`` tuples do not
-    cover, or declares a field that does not exist.  The complementary
-    *flow-script* satisfiability check lives in
-    :func:`repro.flow.registry.validate_pipeline` and runs at pipeline
-    build time.
 
 Soundness limits: the dataflow is best-effort and intra-procedural
 (except the DD504 call graph); calls through variables, ``getattr`` and
@@ -79,7 +70,6 @@ from repro.analysis.astutil import (
     Finding,
     ImportMap,
     apply_suppressions,
-    dotted_name,
     enclosing_symbols,
     iter_sources,
     parse_module,
@@ -99,7 +89,6 @@ RULES = {
     "DD502": "result-affecting nondeterminism source",
     "DD503": "bare float sum() in a cost/gain path (convention: math.fsum)",
     "DD504": "fork-unsafe function reachable from the worker pool",
-    "DD505": "flow pass contract is stale (undeclared FlowState access)",
 }
 
 #: Paths (suffix match) where wall-clock reads are legitimate telemetry.
@@ -559,167 +548,6 @@ def check_fork_safety(
 
 
 # ----------------------------------------------------------------------
-# DD505 — flow pass contracts
-# ----------------------------------------------------------------------
-def _flowstate_fields(state_tree: ast.Module) -> Tuple[Dict[str, str], Set[str]]:
-    """``(fields, members)`` of the FlowState dataclass.
-
-    ``fields[name]`` is ``"optional"`` (``None`` default — gated by
-    ``has()``), ``"bool"`` (value-gated) or ``"always"`` (populated at
-    construction or by default factory).  ``members`` adds properties
-    and methods (legal reads that are not contract fields).
-    """
-    fields: Dict[str, str] = {}
-    members: Set[str] = set()
-    for node in state_tree.body:
-        if not (isinstance(node, ast.ClassDef) and node.name == "FlowState"):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                name = item.target.id
-                default = item.value
-                ann = item.annotation
-                if default is None:
-                    fields[name] = "always"
-                elif isinstance(default, ast.Constant) and default.value is None:
-                    fields[name] = "optional"
-                elif (isinstance(ann, ast.Name) and ann.id == "bool") or (
-                    isinstance(default, ast.Constant)
-                    and isinstance(default.value, bool)
-                ):
-                    fields[name] = "bool"
-                else:
-                    fields[name] = "always"
-            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                members.add(item.name)
-    return fields, members
-
-
-def _pass_classes(tree: ast.Module) -> List[Tuple[ast.ClassDef, str]]:
-    """``(class, registered_name)`` for every ``@register_pass`` class."""
-    out: List[Tuple[ast.ClassDef, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for deco in node.decorator_list:
-            if (
-                isinstance(deco, ast.Call)
-                and (dotted_name(deco.func) or "").endswith("register_pass")
-                and deco.args
-                and isinstance(deco.args[0], ast.Constant)
-            ):
-                out.append((node, str(deco.args[0].value)))
-    return out
-
-
-def _declared_tuple(cls: ast.ClassDef, attr: str) -> Optional[Tuple[str, ...]]:
-    for item in cls.body:
-        if isinstance(item, ast.Assign):
-            for t in item.targets:
-                if isinstance(t, ast.Name) and t.id == attr:
-                    if isinstance(item.value, (ast.Tuple, ast.List)):
-                        return tuple(
-                            str(e.value)
-                            for e in item.value.elts
-                            if isinstance(e, ast.Constant)
-                        )
-                    return ()
-    return None
-
-
-def check_flow_contracts(
-    pass_sources: Dict[str, str], state_source: str, state_path: str
-) -> List[Finding]:
-    """DD505 findings: pass state access vs declared contracts.
-
-    ``pass_sources`` maps path -> text of the flow pass modules;
-    ``state_source`` is ``repro/flow/state.py``.
-    """
-    try:
-        state_tree = ast.parse(state_source, filename=state_path)
-    except SyntaxError:
-        return []
-    fields, members = _flowstate_fields(state_tree)
-    if not fields:
-        return []
-    findings: List[Finding] = []
-    for path, text in sorted(pass_sources.items()):
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError:
-            continue
-        for cls, reg_name in _pass_classes(tree):
-            requires = _declared_tuple(cls, "requires") or ()
-            provides = _declared_tuple(cls, "provides") or ()
-            declared = set(requires) | set(provides)
-            for f in sorted(declared - set(fields)):
-                findings.append(Finding(
-                    path, cls.lineno, cls.col_offset, "DD505",
-                    f"pass {reg_name!r} declares {f!r} which is not a "
-                    "FlowState field",
-                    symbol=f"{cls.name}.{f}",
-                ))
-            reads, writes = _state_accesses(cls)
-            for attr, node in sorted(writes.items()):
-                if attr not in fields and attr not in members:
-                    findings.append(Finding(
-                        path, node.lineno, node.col_offset, "DD505",
-                        f"pass {reg_name!r} writes unknown FlowState "
-                        f"attribute {attr!r}",
-                        symbol=f"{cls.name}.{attr}",
-                    ))
-                elif fields.get(attr) in ("optional", "bool") and attr not in provides:
-                    findings.append(Finding(
-                        path, node.lineno, node.col_offset, "DD505",
-                        f"{RULES['DD505']}: pass {reg_name!r} writes "
-                        f"FlowState.{attr} but does not declare it in "
-                        f"provides={tuple(provides)!r}",
-                        symbol=f"{cls.name}.{attr}",
-                    ))
-            for attr, node in sorted(reads.items()):
-                if attr in writes:
-                    continue
-                if attr not in fields and attr not in members:
-                    findings.append(Finding(
-                        path, node.lineno, node.col_offset, "DD505",
-                        f"pass {reg_name!r} reads unknown FlowState "
-                        f"attribute {attr!r}",
-                        symbol=f"{cls.name}.{attr}",
-                    ))
-                elif (
-                    fields.get(attr) in ("optional", "bool")
-                    and attr not in requires
-                    and attr not in provides
-                ):
-                    findings.append(Finding(
-                        path, node.lineno, node.col_offset, "DD505",
-                        f"{RULES['DD505']}: pass {reg_name!r} reads "
-                        f"FlowState.{attr} but declares neither "
-                        f"requires nor provides for it",
-                        symbol=f"{cls.name}.{attr}",
-                    ))
-    return findings
-
-
-def _state_accesses(
-    cls: ast.ClassDef,
-) -> Tuple[Dict[str, ast.Attribute], Dict[str, ast.Attribute]]:
-    """First read and write site of every ``state.<attr>`` in the class
-    body (``state`` being the conventional FlowState parameter)."""
-    reads: Dict[str, ast.Attribute] = {}
-    writes: Dict[str, ast.Attribute] = {}
-    for node in ast.walk(cls):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "state"
-        ):
-            book = writes if isinstance(node.ctx, (ast.Store, ast.Del)) else reads
-            book.setdefault(node.attr, node)
-    return reads, writes
-
-
-# ----------------------------------------------------------------------
 # Project runner, baseline, CLI
 # ----------------------------------------------------------------------
 def run_detcheck(paths: Sequence[Path]) -> List[Finding]:
@@ -744,22 +572,6 @@ def run_detcheck(paths: Sequence[Path]) -> List[Finding]:
         return kept
 
     findings.extend(_suppress(check_fork_safety(sources)))
-
-    pass_sources = {
-        p: t
-        for p, t in sources.items()
-        if "/flow/passes/" in p.replace("\\", "/")
-    }
-    state_items = [
-        (p, t)
-        for p, t in sources.items()
-        if p.replace("\\", "/").endswith("flow/state.py")
-    ]
-    if pass_sources and state_items:
-        state_path, state_source = state_items[0]
-        findings.extend(
-            _suppress(check_flow_contracts(pass_sources, state_source, state_path))
-        )
     return sorted(findings, key=lambda f: (f.path, f.line, f.code, f.message))
 
 

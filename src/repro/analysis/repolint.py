@@ -26,15 +26,6 @@ checkable (the shared machinery lives in
 ``RL004``
     Public functions and public methods of public classes must be fully
     annotated (every parameter and the return type).
-``RL005``
-    No imports of ``repro.flow.passes`` internals from outside
-    ``repro/flow/``: pass classes are registered on import of
-    :mod:`repro.flow` and must be reached through the registry
-    (``create_pass``/``build_pipeline``), never by module path.  The
-    check covers ``import repro.flow.passes...``,
-    ``from repro.flow.passes... import ...`` and
-    ``from repro.flow import passes`` — anywhere in the file,
-    including lazy imports inside functions.
 ``RL006``
     No stale suppressions: a ``# repolint: disable=RL00x`` comment
     whose listed RL code suppresses nothing on that line (either the
@@ -68,7 +59,6 @@ RULES = {
     "RL002": "bare except",
     "RL003": "truth-table parameter without documented arity",
     "RL004": "public function not fully annotated",
-    "RL005": "import of repro.flow.passes internals outside repro.flow",
     "RL006": "stale repolint suppression",
 }
 
@@ -79,7 +69,6 @@ LintFinding = Finding
 _MUTABLE_CALLS = {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque"}
 _TT_PARAM_NAMES = {"bits", "tt", "truth", "truth_table", "truth_bits"}
 _TT_DOC_TOKENS = ("2**", "2 **", "arity", "variable")
-_FLOW_PASSES = "repro.flow.passes"
 #: Shape of a code RL006 takes responsibility for.  Anything else in a
 #: disable comment (a DD5xx code, prose caught by the docstring of a
 #: linter...) is not this rule's business.
@@ -93,8 +82,6 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
         return [syntax_finding] if syntax_finding is not None else []
     findings: List[Finding] = []
     _walk(tree, path, findings, class_public=True, depth=0)
-    if not _flow_exempt(path):
-        _check_flow_imports(tree, path, findings)
     comments = suppression_comments(source)
     kept, used = apply_suppressions(findings, comments)
     kept.extend(_check_stale_suppressions(path, comments, used))
@@ -223,39 +210,6 @@ def _check_function(
                 symbol=fn.name,
             )
         )
-
-
-def _flow_exempt(path: str) -> bool:
-    """Whether ``path`` lies inside ``repro/flow/`` (the only place the
-    pass modules may be imported by module path)."""
-    return "repro/flow/" in path.replace("\\", "/")
-
-
-def _check_flow_imports(
-    tree: ast.AST, path: str, findings: List[Finding]
-) -> None:
-    """RL005 — scan the whole tree (lazy in-function imports included)
-    for any spelling that binds a ``repro.flow.passes`` module."""
-    hint = f"{RULES['RL005']} (use the repro.flow registry: build_pipeline/create_pass)"
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            hit = any(
-                a.name == _FLOW_PASSES or a.name.startswith(_FLOW_PASSES + ".")
-                for a in node.names
-            )
-        elif isinstance(node, ast.ImportFrom):
-            mod = node.module or ""
-            hit = (
-                mod == _FLOW_PASSES
-                or mod.startswith(_FLOW_PASSES + ".")
-                or (mod == "repro.flow" and any(a.name == "passes" for a in node.names))
-            )
-        else:
-            continue
-        if hit:
-            findings.append(
-                Finding(path, node.lineno, node.col_offset, "RL005", hint)
-            )
 
 
 def _is_mutable_literal(node: ast.AST) -> bool:

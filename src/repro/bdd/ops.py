@@ -4,7 +4,9 @@ These round out the engine to the feature set synthesis codebases
 expect: generalized cofactors (constrain/restrict), Boolean difference,
 variable permutation, implication/containment tests, and the
 don't-care-aware minimization primitive used by
-:mod:`repro.network.dontcare`.
+:mod:`repro.network.dontcare`, and the cross-manager rebuild
+(:func:`translate`) that emission, verification and equivalence
+checking share.
 """
 
 from __future__ import annotations
@@ -84,6 +86,37 @@ def constrain(mgr: BDDManager, f: int, care: int) -> int:
         return result
 
     return walk(f, care)
+
+
+def translate(src: BDDManager, f: int, dst: BDDManager, lit_by_var: Dict[int, int]) -> int:
+    """Rebuild ``f`` (a BDD of ``src``) inside ``dst``, putting the
+    ``dst`` function ``lit_by_var[v]`` in place of each variable ``v``.
+
+    The walk visits hi before lo, so ``dst`` creates its rows in one
+    fixed order; covers break DP ties on row numbers.
+    """
+    return _translate(src, f, dst, lit_by_var, {})
+
+
+def _translate(
+    src: BDDManager, n: int, dst: BDDManager, lit_by_var: Dict[int, int],
+    memo: Dict[int, int],
+) -> int:
+    if n == src.ZERO:
+        return dst.ZERO
+    if n == src.ONE:
+        return dst.ONE
+    got = memo.get(n)
+    if got is not None:
+        return got
+    var, lo, hi = src.node(n)
+    r = dst.ite(
+        lit_by_var[var],
+        _translate(src, hi, dst, lit_by_var, memo),
+        _translate(src, lo, dst, lit_by_var, memo),
+    )
+    memo[n] = r
+    return r
 
 
 def minimize_with_dc(mgr: BDDManager, f: int, dont_care: int) -> int:

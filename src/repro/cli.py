@@ -71,13 +71,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         cache=args.cache,
         cache_dir=args.cache_dir,
         fleet_weight=args.fleet_weight,
-        flow=args.passes,
         **kwargs,
     )
     def run():
         if args.flow == "ddbdd":
-            # Construct and run the pass pipeline (repro.flow); the
-            # config's flow script selects the passes.
             from repro.flow import run_flow
 
             return run_flow(net, config)
@@ -278,13 +275,6 @@ def main(argv: Optional[list] = None) -> int:
         help="print the runtime telemetry as one JSON object",
     )
     p.add_argument(
-        "--passes",
-        metavar="SPEC",
-        default=None,
-        help='flow script overriding the standard pass pipeline, e.g. '
-        '"sweep;collapse;synth(jobs=4);map" (ddbdd flow only)',
-    )
-    p.add_argument(
         "--profile",
         nargs="?",
         const=25,
@@ -369,15 +359,9 @@ def main(argv: Optional[list] = None) -> int:
     p.add_argument(
         "--synth",
         action="store_true",
-        help="additionally run the synthesis pass pipeline at verify_level=2 "
-        "and report every verified pass boundary (exit 1: verification "
+        help="additionally run the synthesis flow at verify_level=2 "
+        "and report every verified stage boundary (exit 1: verification "
         "errors; exit 2: verified but with DD4xx findings/warnings)",
-    )
-    p.add_argument(
-        "--passes",
-        metavar="SPEC",
-        default=None,
-        help="flow script for --synth (default: the standard pipeline)",
     )
     p.set_defaults(func=_cmd_check)
 
@@ -452,17 +436,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if errors:
         return 1
     if args.synth:
-        # Drive the pass pipeline under full stage-boundary checking:
-        # every pass boundary becomes a verified boundary.
+        # Drive the flow under full stage-boundary checking: every
+        # stage boundary becomes a verified boundary.
         from repro.analysis import check_failure_reports
         from repro.analysis.diagnostics import VerificationError
-        from repro.flow import FlowState, build_pipeline, default_flow
+        from repro.flow import FlowState, run_stages, stage_names
 
-        config = DDBDDConfig(verify_level=2, flow=args.passes)
+        config = DDBDDConfig(verify_level=2)
         state = FlowState.initial(net, config)
-        pipeline = build_pipeline(config.flow or default_flow(config))
         try:
-            pipeline.run(state)
+            run_stages(state)
         except VerificationError as exc:
             for d in exc.diagnostics:
                 print(d.describe())
@@ -474,7 +457,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"({telemetry.seconds:.3f}s + {telemetry.verify_seconds:.3f}s verify)"
             )
         print(
-            f"check: pipeline {pipeline.describe()!r} verified "
+            f"check: pipeline {';'.join(stage_names(config))!r} verified "
             f"{len(state.verifier.stages_run)} stage boundary(ies), "
             f"{len(state.verifier.warnings)} warning(s)"
         )

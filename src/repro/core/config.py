@@ -146,8 +146,6 @@ class DDBDDConfig:
         re-verified by spot simulation when ``verify_level >= 1``.
     cache_dir:
         Root directory of the on-disk cache.
-    cache_max_entries:
-        LRU size cap of the cache (entries, not bytes).
     cache_claims:
         Cross-process singleflight for shared cache roots: leaders
         claim signatures via transactional lease rows in the tier-2
@@ -159,15 +157,6 @@ class DDBDDConfig:
         fleet scheduler (:mod:`repro.runtime.fleet`).  Relative: a
         weight-2 request is entitled to twice the worker share of a
         weight-1 request while both are in flight.  Must be >= 1.
-    flow:
-        Optional flow-script override for the pass pipeline (see
-        :mod:`repro.flow`), e.g. ``"sweep;collapse;synth(jobs=4);map"``.
-        ``None`` (default) selects the standard flow for this config:
-        ``"sweep;collapse;synth;map"``, with the collapse pass dropped
-        when ``collapse`` is false.  Pass names/options are resolved
-        against the registry when the pipeline is built; syntax or
-        registry errors raise
-        :class:`repro.flow.FlowScriptError` at that point.
     job_deadline_s:
         Wall-time budget per supernode job in seconds (``None`` =
         unbounded).  A breached job aborts cleanly and is re-synthesized
@@ -212,10 +201,8 @@ class DDBDDConfig:
     jobs: int = field(default_factory=_default_jobs)
     cache: str = "off"
     cache_dir: str = ".ddbdd_cache"
-    cache_max_entries: int = 8192
     cache_claims: bool = True
     fleet_weight: int = 1
-    flow: Optional[str] = None
     job_deadline_s: Optional[float] = None
     job_node_budget: Optional[int] = None
     pool_max_retries: int = 2
@@ -235,14 +222,8 @@ class DDBDDConfig:
             raise ValueError("jobs must be >= 0 (0 means all CPUs)")
         if self.cache not in ("off", "read", "readwrite"):
             raise ValueError(f"cache must be off, read or readwrite, got {self.cache!r}")
-        if self.cache_max_entries < 1:
-            raise ValueError("cache_max_entries must be positive")
         if self.fleet_weight < 1:
             raise ValueError("fleet_weight must be >= 1")
-        if self.flow is not None and (
-            not isinstance(self.flow, str) or not self.flow.strip()
-        ):
-            raise ValueError("flow must be None or a non-empty flow-script string")
         if self.job_deadline_s is not None and not self.job_deadline_s > 0:
             raise ValueError("job_deadline_s must be positive (or None)")
         if self.job_node_budget is not None and self.job_node_budget < 1:

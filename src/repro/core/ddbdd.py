@@ -13,10 +13,10 @@ The result is a K-feasible LUT network: its unit-delay depth is the
 paper's "mapping depth" and its node count the paper's "area" (number
 of LUTs).
 
-The stage *sequence* lives in :mod:`repro.flow` as a pass pipeline
-(``sweep;collapse;synth;map``); :func:`ddbdd_synthesize` is a thin
-wrapper that builds and runs the pipeline for its config.  Step 3 is
-the ``synth`` pass, which runs the wavefront engine
+The stages live in :mod:`repro.flow` as four functions run in this
+fixed order (``sweep``, ``collapse``, ``synth``, ``map``);
+:func:`ddbdd_synthesize` is a thin wrapper that runs them for its
+config.  Step 3 is the ``synth`` stage, which runs the wavefront engine
 (:func:`repro.runtime.schedule.wavefront_supernodes`) at every job
 count.  This module keeps the flow's result type and entry point.
 """
@@ -59,10 +59,8 @@ def ddbdd_synthesize(
 ) -> SynthesisResult:
     """Synthesize ``net`` into a K-LUT network optimized for depth.
 
-    Thin wrapper over :func:`repro.flow.run_flow`: builds the pass
-    pipeline for ``config`` (``config.flow`` overrides the standard
-    ``sweep;collapse;synth;map`` script) and runs it.  Output is
-    bit-identical to the historical hard-coded stage sequence.
+    Thin wrapper over :func:`repro.flow.run_flow`, which runs the
+    Algorithm 1 stages for ``config``.
     """
     from repro.flow import run_flow  # deferred: repro.flow imports this module
 

@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bdd.leveled import LeveledBDD
 from repro.bdd.manager import BDDManager
+from repro.bdd.ops import translate
 from repro.bdd.reorder import reorder_for_size
 from repro.core.binpack import Box, PackedBin, pack_or_cost, pack_or_gates
 from repro.core.config import DDBDDConfig
@@ -494,8 +495,8 @@ class BDDSynthesizer:
                 func = self.lb.bs_function(*state)
                 support = self.mgr.support_ordered(func)
                 ops = [leaf_signals[x] for x in support]
-                local = _translate(self.mgr, func, net.mgr,
-                                   {x: lit_of(leaf_signals[x]) for x in support})
+                local = translate(self.mgr, func, net.mgr,
+                                  {x: lit_of(leaf_signals[x]) for x in support})
                 depth = 1 + max(o[2] for o in ops)
                 result = make_lut(local, _unique([o[0] for o in ops]), depth)
             elif cand.kind == "alias":
@@ -588,24 +589,8 @@ class BDDSynthesizer:
             if sig_name in leaf_funcs:
                 return leaf_funcs[sig_name]
             node = net.nodes[sig_name]
-            fanin_funcs = {f: cone_function(f) for f in node.fanins}
-            cache: BoundedMemo[int, int] = BoundedMemo()
-            by_var = {net.var_of(f): g for f, g in fanin_funcs.items()}
-
-            def walk(n: int) -> int:
-                if n == net.mgr.ZERO:
-                    return mgr.ZERO
-                if n == net.mgr.ONE:
-                    return mgr.ONE
-                hit = cache.get(n)
-                if hit is not None:
-                    return hit
-                var, lo, hi = net.mgr.node(n)
-                r = mgr.ite(by_var[var], walk(hi), walk(lo))
-                cache[n] = r
-                return r
-
-            result = walk(node.func)
+            by_var = {net.var_of(f): cone_function(f) for f in node.fanins}
+            result = translate(net.mgr, node.func, mgr, by_var)
             leaf_funcs[sig_name] = result
             return result
 
@@ -614,27 +599,6 @@ class BDDSynthesizer:
             actual = mgr.negate(actual)
         if actual != self.func:
             raise AssertionError("emitted network does not match the supernode function")
-
-
-def _translate(src, func: int, dst, lit_by_var: Dict[int, int]) -> int:
-    """Rebuild ``func`` (a BDD in ``src``) inside ``dst``, substituting
-    each source variable with the destination literal ``lit_by_var``."""
-    cache: BoundedMemo[int, int] = BoundedMemo()
-
-    def walk(n: int) -> int:
-        if n == src.ZERO:
-            return dst.ZERO
-        if n == src.ONE:
-            return dst.ONE
-        got = cache.get(n)
-        if got is not None:
-            return got
-        var, lo, hi = src.node(n)
-        r = dst.ite(lit_by_var[var], walk(hi), walk(lo))
-        cache[n] = r
-        return r
-
-    return walk(func)
 
 
 def _unique(items: List[str]) -> List[str]:

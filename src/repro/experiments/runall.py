@@ -36,7 +36,6 @@ def run_all(
     jobs: Optional[int] = None,
     cache: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    flow: Optional[str] = None,
 ) -> Dict[str, TableResult]:
     """Run all experiments; stream rendered tables to ``out``.
 
@@ -44,12 +43,9 @@ def run_all(
     keyword arguments into a specific experiment's driver call (e.g.
     ``{"table4": {"place_effort": 0.2}}`` for a quick pass).
 
-    ``jobs`` / ``cache`` / ``cache_dir`` / ``flow`` set the runtime
-    knobs of the shared :class:`~repro.core.config.DDBDDConfig` passed
-    to every experiment (an explicit per-experiment ``config`` override
-    wins).  ``flow`` is a :mod:`repro.flow` flow script; every
-    experiment drives the same pass-pipeline runner, so the override
-    applies uniformly.
+    ``jobs`` / ``cache`` / ``cache_dir`` set the runtime knobs of the
+    shared :class:`~repro.core.config.DDBDDConfig` passed to every
+    experiment (an explicit per-experiment ``config`` override wins).
     """
     results: Dict[str, TableResult] = {}
     skip = skip or []
@@ -61,8 +57,6 @@ def run_all(
         runtime_kwargs["cache"] = cache
     if cache_dir is not None:
         runtime_kwargs["cache_dir"] = cache_dir
-    if flow is not None:
-        runtime_kwargs["flow"] = flow
     shared_config = DDBDDConfig(**runtime_kwargs) if runtime_kwargs else None
     start = time.time()
     for label, fn, kwargs in _EXPERIMENTS:

@@ -23,9 +23,8 @@ def run_table1(
 ) -> TableResult:
     """Regenerate Table I (depth with vs without Algorithm 2).
 
-    Both rows run the same :mod:`repro.flow` pipeline; the
-    ``collapse=False`` row simply selects the flow script without the
-    ``collapse`` pass.
+    Both rows run the same :mod:`repro.flow` stages; the
+    ``collapse=False`` row simply skips the ``collapse`` stage.
     """
     config = config or DDBDDConfig()
     names = list(circuits or TABLE1_SUITE)

@@ -19,7 +19,7 @@ from repro.benchgen import TABLE3_SUITE, build_circuit
 from repro.core import DDBDDConfig
 from repro.core.dp import BDDSynthesizer
 from repro.experiments.report import TableResult
-from repro.flow import FlowState, build_pipeline
+from repro.flow import FlowState, run_stages
 
 
 def collect_large_nodes(
@@ -30,15 +30,14 @@ def collect_large_nodes(
     """(circuit, manager, function) for every collapsed node with a
     BDD above ``min_bdd_size`` nodes.
 
-    Runs the front half of the standard flow (``sweep;collapse``) as a
-    :mod:`repro.flow` pipeline and harvests the collapsed working
-    network.
+    Runs the front half of the standard flow (the :mod:`repro.flow`
+    ``sweep`` and ``collapse`` stages) and harvests the collapsed
+    working network.
     """
-    front = build_pipeline("sweep;collapse")
     out = []
     for name in circuits:
         net = build_circuit(name)
-        state = front.run(FlowState.initial(net, config))
+        state = run_stages(FlowState.initial(net, config), ("sweep", "collapse"))
         work = state.work
         for node in work.nodes.values():
             if work.mgr.count_nodes(node.func) > min_bdd_size:

@@ -1,42 +1,31 @@
-"""repro.flow: the DDBDD synthesis flow as a composable pass pipeline.
-
-The flow used to be one hard-coded function
-(``repro.core.ddbdd.ddbdd_synthesize``) that the CLI, the parallel
-runtime and every experiment table re-entered in slightly different
-ways.  It is now a pipeline of registered passes over one shared
-:class:`~repro.flow.state.FlowState`:
+"""repro.flow: the DDBDD synthesis flow (Algorithm 1) as four fixed stages.
 
     ``sweep ; collapse ; synth ; map``
 
-* :class:`~repro.flow.pipeline.Pipeline` runs any pass sequence with
-  requires/provides enforcement, StageVerifier hooks at every pass
-  boundary and per-pass telemetry
-  (:class:`~repro.runtime.stats.PassTelemetry`).
-* :mod:`repro.flow.registry` maps names to passes and parses flow
-  scripts (``"sweep;collapse;synth(jobs=4);map"``); scripts ride on
-  :attr:`repro.core.config.DDBDDConfig.flow`.
-* :mod:`repro.flow.passes` holds the standard stage implementations;
-  reach them via the registry — repolint rule RL005 forbids importing
-  their internals from outside ``repro.flow``.
-* :func:`run_flow` is the one flow entrypoint: build the pipeline for a
-  config, run it, wrap the state into a
+* :mod:`repro.flow.stages` holds the four stage functions, their
+  StageVerifier boundary audits and :func:`run_stages`, the one loop
+  that runs named stages over a :class:`~repro.flow.state.FlowState`
+  and records one :class:`~repro.runtime.stats.PassTelemetry` row per
+  stage.  ``DDBDDConfig.collapse = False`` drops the collapse stage
+  (the paper's "without collapsing" ablation).
+* :func:`run_flow` is the one flow entrypoint: run every stage for a
+  config and wrap the state into a
   :class:`~repro.core.ddbdd.SynthesisResult`.
-  ``ddbdd_synthesize`` is now a thin alias for it.
+  ``ddbdd_synthesize`` is a thin alias for it.
 
-Example — the standard flow with a wavefront synth override::
+Example — the standard flow::
 
     from repro.flow import run_flow
     from repro.core.config import DDBDDConfig
 
-    result = run_flow(net, DDBDDConfig(flow="sweep;collapse;synth(jobs=4);map"))
+    result = run_flow(net, DDBDDConfig(jobs=4))
 
-Example — a partial pipeline (experiments that only need the collapsed
+Example — the front half only (experiments that need the collapsed
 network)::
 
-    from repro.flow import FlowState, build_pipeline
+    from repro.flow import FlowState, run_stages
 
-    state = FlowState.initial(net, config)
-    build_pipeline("sweep;collapse").run(state)
+    state = run_stages(FlowState.initial(net, config), ("sweep", "collapse"))
     supernodes = state.work
 """
 
@@ -47,22 +36,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.config import DDBDDConfig
 from repro.network.netlist import BooleanNetwork
-from repro.flow.pipeline import BasePass, FlowError, Pipeline
-from repro.flow.registry import (
-    FlowScriptError,
-    available_passes,
-    build_pipeline,
-    create_pass,
-    default_flow,
-    parse_flow,
-    pass_contracts,
-    register_pass,
-    validate_pipeline,
-)
+from repro.flow.stages import run_stages, stage_names
 from repro.flow.state import FlowState
-from repro.flow import passes as _passes  # registers the standard passes
-
-del _passes
 
 if TYPE_CHECKING:  # import cycle: repro.core.ddbdd reaches repro.flow lazily
     from repro.core.ddbdd import SynthesisResult
@@ -72,23 +47,15 @@ if TYPE_CHECKING:  # import cycle: repro.core.ddbdd reaches repro.flow lazily
 def run_flow(
     net: BooleanNetwork,
     config: Optional[DDBDDConfig] = None,
-    script: Optional[str] = None,
     observer: Optional[Callable[["PassTelemetry"], None]] = None,
 ) -> "SynthesisResult":
-    """Run a flow pipeline over ``net`` and return a
+    """Run Algorithm 1 over ``net`` and return a
     :class:`~repro.core.ddbdd.SynthesisResult`.
-
-    The pipeline is built from, in priority order: the explicit
-    ``script`` argument, ``config.flow``, or the standard flow for the
-    config (:func:`~repro.flow.registry.default_flow`).  The script
-    must end in a finishing pass (``map``): a pipeline that leaves the
-    state unfinished raises :class:`FlowError` — use
-    :class:`Pipeline` / :class:`FlowState` directly for partial flows.
 
     ``observer``, if given, is installed as the run's
     :attr:`~repro.runtime.stats.RuntimeStats.pass_observer`: it is
     called with each :class:`~repro.runtime.stats.PassTelemetry` row as
-    the pass completes, while later passes are still running — the
+    the stage completes, while later stages are still running — the
     serve daemon's streaming-progress hook.
     """
     # Deferred import: repro.core.ddbdd reaches repro.flow lazily, so
@@ -100,14 +67,7 @@ def run_flow(
     state = FlowState.initial(net, config)
     if observer is not None:
         state.stats.pass_observer = observer
-    pipeline = build_pipeline(script or config.flow or default_flow(config))
-    pipeline.run(state)
-    if not state.finished:
-        raise FlowError(
-            f"flow {pipeline.describe()!r} did not finish the result "
-            "(no 'map' pass ran); use Pipeline/FlowState directly for "
-            "partial flows"
-        )
+    run_stages(state)
     return SynthesisResult(
         network=state.mapped,
         depth=state.depth,
@@ -121,19 +81,4 @@ def run_flow(
     )
 
 
-__all__ = [
-    "BasePass",
-    "FlowError",
-    "FlowScriptError",
-    "FlowState",
-    "Pipeline",
-    "available_passes",
-    "build_pipeline",
-    "create_pass",
-    "default_flow",
-    "parse_flow",
-    "pass_contracts",
-    "register_pass",
-    "run_flow",
-    "validate_pipeline",
-]
+__all__ = ["FlowState", "run_flow", "run_stages", "stage_names"]

@@ -1,18 +1,13 @@
-"""The shared state a flow pipeline threads between its passes.
+"""The shared state the Algorithm 1 stages thread between them.
 
-:class:`FlowState` is the single mutable object every
-:class:`~repro.flow.pipeline.Pass` receives and returns.  It carries
-the three networks of Algorithm 1 (the immutable ``source``, the
-in-flow ``work`` copy that sweep/collapse mutate, and the ``mapped``
-K-LUT output under construction), the signal-resolution tables the
-supernode stage maintains, and the run-scoped services (config,
+:class:`FlowState` is the single mutable object every stage of
+:mod:`repro.flow.stages` reads and writes.  It carries the three
+networks of Algorithm 1 (the immutable ``source``, the in-flow ``work``
+copy that sweep/collapse mutate, and the ``mapped`` K-LUT output under
+construction), the signal-resolution tables the synth stage fills and
+the map stage reads, and the run-scoped services (config,
 :class:`~repro.analysis.hooks.StageVerifier`,
 :class:`~repro.runtime.stats.RuntimeStats`).
-
-The field contract (which pass populates what) is declared by each
-pass's ``requires`` / ``provides`` tuples and enforced by the
-:class:`~repro.flow.pipeline.Pipeline` runner; see DESIGN.md's "Flow
-architecture" section for the full table.
 """
 
 from __future__ import annotations
@@ -28,49 +23,27 @@ from repro.network.netlist import BooleanNetwork
 from repro.runtime.stats import RuntimeStats
 
 
-#: Fields for which :meth:`FlowState.has` is already true on a fresh
-#: :meth:`FlowState.initial` state — the starting capability set the
-#: registry's static flow-script validation chains ``requires`` /
-#: ``provides`` from.  Keep in sync with the dataclass defaults below
-#: (detcheck's DD505 flags drift between passes and these fields).
-INITIAL_FIELDS = frozenset(
-    {
-        "source",
-        "config",
-        "verifier",
-        "stats",
-        "work",
-        "resolve",
-        "external",
-        "supernode_results",
-        "po_depths",
-        "depth",
-    }
-)
-
-
 @dataclass
 class FlowState:
-    """Everything a flow pipeline reads and writes.
+    """Everything the Algorithm 1 stages read and write.
 
     Attributes
     ----------
     source:
-        The caller's input network.  Never mutated by any pass.
+        The caller's input network.  Never mutated by any stage.
     config:
-        The run's :class:`~repro.core.config.DDBDDConfig` (passes may
-        apply per-pass option overrides on top, without mutating it).
+        The run's :class:`~repro.core.config.DDBDDConfig`.
     verifier:
-        The stage-boundary verifier; the pipeline runner invokes each
-        pass's ``verify`` hook against it after the pass body.
+        The stage-boundary verifier; the stage loop runs each stage's
+        boundary audit against it right after the stage body.
     stats:
         Accumulating runtime telemetry (stages, passes, cache counters).
     work:
-        The working copy sweep and collapse mutate (``provides`` of no
-        pass — created by :meth:`initial`).
+        The working copy sweep and collapse mutate (created by
+        :meth:`initial`).
     mapped:
-        The K-LUT output network (created by the synth pass, replaced
-        by the map pass's re-covering).
+        The K-LUT output network (created by the synth stage, replaced
+        by the map stage's re-covering).
     resolve:
         supernode/PI signal -> ``(signal in mapped, negated, depth)``.
     external:
@@ -81,18 +54,14 @@ class FlowState:
     supernode_results:
         Per-supernode DP results in serial topological order.
     po_depths / depth:
-        Final mapping depths (populated by the map pass).
-    finished:
-        Set by the map pass once the result is fully post-processed;
-        :func:`repro.flow.run_flow` refuses to build a
-        ``SynthesisResult`` from an unfinished state.
+        Final mapping depths (set by the map stage).
     """
 
     source: BooleanNetwork
     config: DDBDDConfig
     verifier: StageVerifier
     stats: RuntimeStats
-    work: Optional[BooleanNetwork] = None
+    work: BooleanNetwork
     mapped: Optional[BooleanNetwork] = None
     resolve: Dict[str, Tuple[str, bool, int]] = field(default_factory=dict)
     external: Set[str] = field(default_factory=set)
@@ -100,15 +69,13 @@ class FlowState:
     supernode_results: List[SupernodeResult] = field(default_factory=list)
     po_depths: Dict[str, int] = field(default_factory=dict)
     depth: int = 0
-    finished: bool = False
 
     @staticmethod
     def initial(net: BooleanNetwork, config: Optional[DDBDDConfig] = None) -> "FlowState":
         """Fresh state for one synthesis run of ``net``.
 
-        Creates the ``work`` copy (``<name>_work``, as the historical
-        flow did) plus the verifier and stats objects sized from
-        ``config``.
+        Creates the ``work`` copy (``<name>_work``) plus the verifier
+        and stats objects sized from ``config``.
         """
         config = config or DDBDDConfig()
         return FlowState(
@@ -118,17 +85,3 @@ class FlowState:
             stats=RuntimeStats(jobs=config.effective_jobs, cache_mode=config.cache),
             work=net.copy(net.name + "_work"),
         )
-
-    def has(self, name: str) -> bool:
-        """Whether state field ``name`` is populated (for the runner's
-        requires/provides checks).  ``None`` means missing; for boolean
-        fields the value itself decides."""
-        value = getattr(self, name)
-        if isinstance(value, bool):
-            return value
-        return value is not None
-
-    @property
-    def area(self) -> int:
-        """LUT count of the mapped network built so far."""
-        return len(self.mapped.nodes) if self.mapped is not None else 0

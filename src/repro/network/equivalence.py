@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bdd.manager import BDDManager, NodeLimitExceeded
+from repro.bdd.ops import translate
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork, NetworkError
 from repro.network.simulate import random_patterns, simulate_outputs
@@ -39,32 +40,9 @@ def global_functions(
     values: Dict[str, int] = {pi: mgr.var(pi_vars[pi]) for pi in net.pis}
     for name in topological_order(net):
         node = net.nodes[name]
-        values[name] = _eval_local(net, node.func, {f: values[f] for f in node.fanins}, mgr)
+        by_var = {net.var_of(f): values[f] for f in node.fanins}
+        values[name] = translate(net.mgr, node.func, mgr, by_var)
     return {po: values[driver] for po, driver in net.pos.items()}
-
-
-def _eval_local(
-    net: BooleanNetwork, func: int, fanin_funcs: Dict[str, int], mgr: BDDManager
-) -> int:
-    """Compose a local BDD with global fanin functions inside ``mgr``."""
-    local_mgr = net.mgr
-    cache: Dict[int, int] = {}
-    by_var = {net.var_of(f): g for f, g in fanin_funcs.items()}
-
-    def walk(node: int) -> int:
-        if node == local_mgr.ZERO:
-            return mgr.ZERO
-        if node == local_mgr.ONE:
-            return mgr.ONE
-        got = cache.get(node)
-        if got is not None:
-            return got
-        var, lo, hi = local_mgr.node(node)
-        result = mgr.ite(by_var[var], walk(hi), walk(lo))
-        cache[node] = result
-        return result
-
-    return walk(func)
 
 
 def check_equivalence(

@@ -25,7 +25,7 @@ step 3, which
   breached jobs are resynthesized via the degradation ladder
   (:mod:`repro.resilience.ladder`).
 
-The ``synth`` pass of the :mod:`repro.flow` pipeline runs the engine
+The ``synth`` stage of :mod:`repro.flow` runs the engine
 at every job count and cache mode; a ``jobs=1`` request computes each
 wavefront in-process.  It is contractually deterministic: its output
 network — names, fanins, functions — does not depend on the job count

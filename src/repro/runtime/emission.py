@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.bdd.manager import BDDManager
+from repro.bdd.ops import translate
 from repro.network.netlist import BooleanNetwork
 from repro.runtime.signature import CanonicalDAG, rebuild_dag
 
@@ -261,7 +261,7 @@ def verify_record(
             v = ref.var_of(f"v{i}")
             lit = ref.mgr.var(v)
             lit_by_var[i] = ref.mgr.negate(lit) if polarities[i] else lit
-        ref_func = _translate(priv_mgr, priv_func, ref.mgr, lit_by_var)
+        ref_func = translate(priv_mgr, priv_func, ref.mgr, lit_by_var)
         if neg:
             ref_func = ref.mgr.negate(ref_func)
         ref.add_node_function("ref_out", [f"v{i}" for i in range(n)], ref_func)
@@ -271,23 +271,3 @@ def verify_record(
         return not errors_of(diags)
     except Exception:
         return False
-
-
-def _translate(src: BDDManager, func: int, dst: BDDManager, lit_by_var: Dict[int, int]) -> int:
-    """Rebuild ``func`` in ``dst``, substituting literals for variables."""
-    cache: Dict[int, int] = {}
-
-    def walk(n: int) -> int:
-        if n == src.ZERO:
-            return dst.ZERO
-        if n == src.ONE:
-            return dst.ONE
-        got = cache.get(n)
-        if got is not None:
-            return got
-        var, lo, hi = src.node(n)
-        r = dst.ite(lit_by_var[var], walk(hi), walk(lo))
-        cache[n] = r
-        return r
-
-    return walk(func)

@@ -78,7 +78,6 @@ from repro.runtime.pool import (
 )
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import (
-    DEFAULT_MEMORY_ENTRIES,
     TIER_MEMORY,
     TIER_SQLITE,
     CacheTelemetry,
@@ -220,16 +219,8 @@ class FleetScheduler:
         with self._lock:
             store = self._stores.get(root)
             if store is None:
-                store = TieredEmissionCache(
-                    config.cache_dir, max_entries=config.cache_max_entries
-                )
+                store = TieredEmissionCache(config.cache_dir)
                 self._stores[root] = store
-            else:
-                # Later requests may resize the shared store's caps.
-                store.disk.max_entries = config.cache_max_entries
-                store.memory.max_entries = max(
-                    1, min(DEFAULT_MEMORY_ENTRIES, config.cache_max_entries)
-                )
         return store
 
     @contextmanager

@@ -7,10 +7,11 @@ caller on :attr:`~repro.core.ddbdd.SynthesisResult.runtime_stats`;
 ``ddbdd synth --stats`` prints :meth:`RuntimeStats.render` and
 ``--stats-json`` dumps :meth:`RuntimeStats.as_dict`.
 
-Since the flow became a pass pipeline (:mod:`repro.flow`), the runner
-also appends one :class:`PassTelemetry` row per executed pass: wall
-time, verification time, RSS growth and the BDD-manager counter deltas
-(nodes created, operator-cache hit rate) observed across the pass.
+The stage loop of :mod:`repro.flow` also appends one
+:class:`PassTelemetry` row per Algorithm 1 stage (``sweep``,
+``collapse``, ``synth``, ``map``): wall time, verification time, RSS
+growth and the BDD-manager counter deltas (nodes created,
+operator-cache hit rate) observed across the stage.
 
 The collection overhead is a handful of ``perf_counter`` calls per
 stage, so stats are gathered unconditionally — there is no "stats off"
@@ -187,7 +188,7 @@ class FailureReport:
 
 @dataclass
 class PassTelemetry:
-    """Telemetry of one executed pipeline pass.
+    """Telemetry of one executed flow stage (a "pass" row).
 
     ``seconds`` is the pass's own wall time; ``verify_seconds`` the
     StageVerifier boundary hook that ran right after it.  The BDD
@@ -262,9 +263,9 @@ class RuntimeStats:
         ``supernodes``, ``dp``, ``postprocess``, ...).  ``dp`` counts
         only the dynamic-program batches inside ``supernodes``.
     passes:
-        One :class:`PassTelemetry` row per pipeline pass, in execution
-        order (empty when the run did not go through the
-        :class:`repro.flow.Pipeline` runner).
+        One :class:`PassTelemetry` row per flow stage, in execution
+        order (empty when the run did not go through
+        :func:`repro.flow.run_stages`).
     wavefront_widths:
         Number of concurrently synthesizable supernodes per topological
         wavefront (at every job count; they sum to ``supernodes``).
@@ -310,7 +311,7 @@ class RuntimeStats:
         fallback); empty on a clean run.
     pass_observer:
         Optional callback invoked with each :class:`PassTelemetry` row
-        as the pipeline runner completes the pass (see
+        as the stage loop completes the stage (see
         :meth:`note_pass`).  The serve daemon uses it to stream per-pass
         progress while a job is still running; ``None`` (default) for
         ordinary runs.

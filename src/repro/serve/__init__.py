@@ -1,9 +1,9 @@
 """repro.serve: synthesis-as-a-service — the ``ddbdd serve`` daemon.
 
 A pure-stdlib asyncio HTTP server that accepts BLIF circuits (or named
-benchmarks) plus flow scripts, runs them through the
-:mod:`repro.flow` pass pipeline under :mod:`repro.resilience` budgets,
-and reports per-pass telemetry while jobs are still running.
+benchmarks) plus config knobs, runs them through the :mod:`repro.flow`
+stages under :mod:`repro.resilience` budgets, and reports per-stage
+``pass`` telemetry while jobs are still running.
 
 Layers (each importable and testable on its own):
 

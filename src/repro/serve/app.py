@@ -536,12 +536,7 @@ def _execute(
         # high-priority job is entitled to a bigger worker share while
         # in flight.  An explicit config.fleet_weight wins unchanged.
         config = replace(config, fleet_weight=1 + request.priority // 10)
-    result = run_flow(
-        request.net,
-        config,
-        script=request.pipeline_script,
-        observer=observer,
-    )
+    result = run_flow(request.net, config, observer=observer)
     payload: Dict[str, object] = {
         "depth": result.depth,
         "area": result.area,

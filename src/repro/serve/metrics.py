@@ -250,14 +250,14 @@ class MetricsRegistry:
         emit(
             "ddbdd_pass_seconds_total",
             "counter",
-            "Pipeline pass wall time by pass name.",
+            "Flow stage wall time by pass name.",
             [(f'{{pass="{n}"}}', c[1]) for n, c in sorted(self.pass_seconds.items())]
             or [("", 0.0)],
         )
         emit(
             "ddbdd_pass_runs_total",
             "counter",
-            "Pipeline pass executions by pass name.",
+            "Flow stage executions by pass name.",
             [(f'{{pass="{n}"}}', c[0]) for n, c in sorted(self.pass_seconds.items())]
             or [("", 0.0)],
         )

@@ -3,14 +3,13 @@
 Every request and response body is JSON; every response carries
 ``"schema": PROTOCOL_SCHEMA`` so clients can version-check before
 parsing further.  Submit payloads are validated *completely* at submit
-time — circuit, flow script (via :func:`repro.flow.validate_pipeline`,
-run inside :func:`repro.flow.build_pipeline`), config knobs, quota
-fields — so a job that reaches the queue can only fail for runtime
-reasons (budget breaches, verification errors), never for malformed
-input.  Validation failures raise :class:`ProtocolError`, which the
-HTTP layer renders as a structured 4xx body::
+time — circuit, config knobs, quota fields — so a job that reaches the
+queue can only fail for runtime reasons (budget breaches, verification
+errors), never for malformed input.  Validation failures raise
+:class:`ProtocolError`, which the HTTP layer renders as a structured 4xx
+body::
 
-    {"schema": 1, "error": {"status": 400, "code": "invalid_flow",
+    {"schema": 2, "error": {"status": 400, "code": "invalid_config",
                             "message": "..."}}
 
 Config resolution policy (the per-request environment contract):
@@ -37,7 +36,13 @@ from repro.network.netlist import BooleanNetwork
 
 #: Version of the request/response JSON contract (stamped as
 #: ``"schema"`` on every response body; see module docstring).
-PROTOCOL_SCHEMA = 1
+#:
+#: Schema 2 (fixed Algorithm 1 flow): the submit payload lost its
+#: ``flow`` field (a payload that still sends it gets the
+#: ``invalid_request`` unknown-field 400), job descriptions lost their
+#: ``flow`` key, the ``invalid_flow`` error code is gone, and
+#: ``cache_max_entries`` left :data:`CONFIG_ALLOWLIST`.
+PROTOCOL_SCHEMA = 2
 
 #: ``DDBDDConfig`` knobs a request may override via ``"config"``.
 #: Everything else is server policy or an internal tunable.
@@ -46,7 +51,6 @@ CONFIG_ALLOWLIST = (
     "jobs",
     "cache",
     "cache_dir",
-    "cache_max_entries",
     "cache_claims",
     "fleet_weight",
     "verify_level",
@@ -59,7 +63,6 @@ CONFIG_ALLOWLIST = (
 _SUBMIT_KEYS = (
     "circuit",
     "benchmark",
-    "flow",
     "tenant",
     "priority",
     "mode",
@@ -79,7 +82,7 @@ class ProtocolError(Exception):
     """A request the daemon refuses, with its HTTP mapping.
 
     ``status`` is the HTTP status code, ``code`` a stable
-    machine-readable slug (``invalid_flow``, ``quota_exceeded``, ...),
+    machine-readable slug (``invalid_config``, ``quota_exceeded``, ...),
     ``message`` the human-readable explanation.
     """
 
@@ -107,14 +110,11 @@ class SubmitRequest:
 
     ``net`` is the parsed input network, dropped (``None``) once the
     job finishes; ``config`` the per-request :class:`DDBDDConfig`
-    (environment defaults already resolved — see the module docstring);
-    ``pipeline_script`` the flow script the job will run (always
-    explicit, never ``None``, so job records are self-describing).
+    (environment defaults already resolved — see the module docstring).
     """
 
     net: Optional[BooleanNetwork]
     config: DDBDDConfig
-    pipeline_script: str
     source: str
     tenant: str = "anonymous"
     priority: int = 0
@@ -128,7 +128,6 @@ class SubmitRequest:
             "tenant": self.tenant,
             "priority": self.priority,
             "mode": self.mode,
-            "flow": self.pipeline_script,
             "jobs": self.config.effective_jobs,
             "cache": self.config.cache,
             "faults_armed": self.config.faults is not None,
@@ -207,40 +206,6 @@ def _build_config(payload: Dict[str, Any]) -> DDBDDConfig:
         raise ProtocolError(400, "invalid_config", str(exc)) from exc
 
 
-def _validate_flow(payload: Dict[str, Any], config: DDBDDConfig) -> str:
-    """Resolve and statically validate the request's flow script.
-
-    Runs the full build-time validation (:func:`repro.flow.parse_flow`
-    grammar, registry lookup, option names,
-    :func:`repro.flow.validate_pipeline` requires/provides chaining)
-    and additionally demands a finishing pass, so an accepted job can
-    always produce a ``SynthesisResult``.  Rejections surface as
-    structured 400s *before* the job queues.
-    """
-    from repro.flow import FlowError, build_pipeline, default_flow
-
-    script = payload.get("flow", config.flow)
-    if script is None:
-        script = default_flow(config)
-    _expect(
-        isinstance(script, str) and script.strip() != "",
-        "invalid_flow",
-        "'flow' must be a non-empty flow script string",
-    )
-    try:
-        pipeline = build_pipeline(script)
-    except FlowError as exc:  # includes FlowScriptError
-        raise ProtocolError(400, "invalid_flow", str(exc)) from exc
-    provided = {f for p in pipeline.passes for f in p.provides}
-    _expect(
-        "finished" in provided,
-        "invalid_flow",
-        f"flow {script!r} never finishes the result — it needs a "
-        "finishing pass ('map'); partial flows are not servable",
-    )
-    return script
-
-
 def parse_submit(payload: object) -> SubmitRequest:
     """Validate one ``POST /v1/synthesize`` payload completely.
 
@@ -293,12 +258,10 @@ def parse_submit(payload: object) -> SubmitRequest:
 
     net, source = _parse_circuit(payload)
     config = _build_config(payload)
-    script = _validate_flow(payload, config)
 
     return SubmitRequest(
         net=net,
         config=config,
-        pipeline_script=script,
         source=source,
         tenant=tenant,
         priority=priority,

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.analysis.detcheck import (
     RULES,
-    check_flow_contracts,
     check_fork_safety,
     check_source,
     load_baseline,
@@ -344,102 +343,11 @@ def test_dd504_suppressed_through_run_detcheck(tmp_path):
     assert [f.code for f in run_detcheck([tmp_path])] == []
 
 
-# ----------------------------------------------------------------------
-# DD505 — synthetic flow tree
-# ----------------------------------------------------------------------
-_STATE = """
-class FlowState:
-    work: object = None
-    mapped: object = None
-    depth: int = 0
-    finished: bool = False
-
-    def has(self, name):
-        return getattr(self, name) is not None
-"""
-
-_PASS_BAD = """
-from repro.flow.registry import register_pass
-
-
-@register_pass("badpass")
-class BadPass:
-    requires = ("work",)
-    provides = ()
-
-    def run(self, state):
-        state.mapped = 1
-        return state
-"""
-
-
-def _flow_sources(pass_src: str) -> "dict[str, str]":
-    return {
-        "src/repro/flow/state.py": textwrap.dedent(_STATE),
-        "src/repro/flow/passes/p.py": textwrap.dedent(pass_src),
-    }
-
-
 def _write_tree(tmp_path: Path, files: "dict[str, str]") -> None:
     for rel, text in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(textwrap.dedent(text), encoding="utf-8")
-
-
-def _dd505(pass_src: str) -> "list":
-    srcs = _flow_sources(pass_src)
-    return check_flow_contracts(
-        {"src/repro/flow/passes/p.py": srcs["src/repro/flow/passes/p.py"]},
-        srcs["src/repro/flow/state.py"],
-        "src/repro/flow/state.py",
-    )
-
-
-def test_dd505_undeclared_write_is_flagged():
-    findings = _dd505(_PASS_BAD)
-    assert [f.code for f in findings] == ["DD505"]
-    assert "writes FlowState.mapped" in findings[0].message
-    assert findings[0].symbol == "BadPass.mapped"
-
-
-def test_dd505_undeclared_read_is_flagged():
-    src = _PASS_BAD.replace("state.mapped = 1", "x = state.mapped")
-    findings = _dd505(src)
-    assert [f.code for f in findings] == ["DD505"]
-    assert "reads FlowState.mapped" in findings[0].message
-
-
-def test_dd505_unknown_attribute_is_flagged():
-    src = _PASS_BAD.replace("state.mapped = 1", "state.mappde = 1")
-    findings = _dd505(src)
-    assert [f.code for f in findings] == ["DD505"]
-    assert "unknown FlowState attribute 'mappde'" in findings[0].message
-
-
-def test_dd505_declared_contract_is_clean():
-    src = _PASS_BAD.replace('provides = ()', 'provides = ("mapped",)')
-    assert _dd505(src) == []
-    # Always-populated fields (non-None defaults) need no declaration.
-    src2 = _PASS_BAD.replace("state.mapped = 1", "state.depth = 2")
-    assert _dd505(src2) == []
-
-
-def test_dd505_stale_declaration_is_flagged():
-    src = _PASS_BAD.replace(
-        'requires = ("work",)', 'requires = ("work", "gone_field")'
-    ).replace("state.mapped = 1", "pass")
-    findings = _dd505(src)
-    assert [f.code for f in findings] == ["DD505"]
-    assert "'gone_field'" in findings[0].message
-
-
-def test_dd505_suppressed_through_run_detcheck(tmp_path):
-    src = _PASS_BAD.replace(
-        "state.mapped = 1", "state.mapped = 1  # repolint: disable=DD505"
-    )
-    _write_tree(tmp_path, _flow_sources(src))
-    assert [f.code for f in run_detcheck([tmp_path])] == []
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +436,7 @@ def test_main_exit_codes_and_json(tmp_path, capsys):
 
 
 def test_rules_registry_matches_docs():
-    for code in ("DD500", "DD501", "DD502", "DD503", "DD504", "DD505"):
+    for code in ("DD500", "DD501", "DD502", "DD503", "DD504"):
         assert code in RULES
 
 

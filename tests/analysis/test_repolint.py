@@ -62,32 +62,6 @@ def test_rl004_public_annotation_coverage():
     )
 
 
-def test_rl005_flow_pass_imports():
-    # Every spelling that binds a repro.flow.passes module is caught,
-    # including lazy imports inside functions.
-    assert "RL005" in _codes("import repro.flow.passes\n")
-    assert "RL005" in _codes("import repro.flow.passes.sweep\n")
-    assert "RL005" in _codes("from repro.flow.passes import sweep\n")
-    assert "RL005" in _codes("from repro.flow.passes.synth import SynthPass\n")
-    assert "RL005" in _codes("from repro.flow import passes\n")
-    assert "RL005" in _codes(
-        "def f() -> None:\n    from repro.flow.passes import sweep\n"
-    )
-    # Registry-level access stays allowed.
-    assert "RL005" not in _codes("from repro.flow import build_pipeline, create_pass\n")
-    assert "RL005" not in _codes("import repro.flow\n")
-    # Modules under repro/flow/ are the implementation and are exempt.
-    src = "from repro.flow.passes import sweep\n"
-    assert [f.code for f in lint_source(src, path="src/repro/flow/__init__.py")] == []
-    assert [f.code for f in lint_source(src, path="src/repro/flow/registry.py")] == []
-    assert "RL005" in [f.code for f in lint_source(src, path="src/repro/cli.py")]
-
-
-def test_rl005_suppression():
-    src = "from repro.flow import passes  # repolint: disable=RL005\n"
-    assert "RL005" not in _codes(src)
-
-
 def test_rl006_stale_suppression():
     # A disable comment that suppresses nothing on its line is itself a
     # finding, so suppressions cannot silently outlive their fix.
@@ -163,5 +137,5 @@ def test_rl000_unparsable_file():
 
 
 def test_rules_registry_matches_docs():
-    for code in ("RL000", "RL001", "RL002", "RL003", "RL004", "RL005"):
+    for code in ("RL000", "RL001", "RL002", "RL003", "RL004"):
         assert code in RULES

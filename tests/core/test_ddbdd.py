@@ -6,7 +6,9 @@ from repro.core import DDBDDConfig, ddbdd_synthesize
 from repro.core.lutpack import lut_pack
 from repro.network.depth import network_depth
 from repro.network.netlist import BooleanNetwork
+from repro.runtime.fleet import reset_fleet
 from tests.conftest import assert_equivalent, random_gate_network
+from tests.runtime.helpers import net_dump
 
 
 def op_chain(op, n, n_pi=None):
@@ -66,7 +68,96 @@ class TestQuality:
         assert result.area == len(result.network.nodes)
 
 
+def _constant_po() -> BooleanNetwork:
+    net = BooleanNetwork("const_po")
+    net.add_pi("a")
+    net.add_pi("b")
+    net.add_gate("g", "and", ["a", "b"])
+    net.add_node_function("one", [], net.mgr.ONE)
+    net.add_node_function("zero", [], net.mgr.ZERO)
+    net.add_po("y", "g")
+    net.add_po("hi", "one")
+    net.add_po("lo", "zero")
+    return net
+
+
+def _po_on_pi() -> BooleanNetwork:
+    net = BooleanNetwork("po_on_pi")
+    net.add_pi("a")
+    net.add_pi("b")
+    net.add_gate("g", "and", ["a", "b"])
+    net.add_po("y", "g")
+    net.add_po("feedthrough", "a")
+    return net
+
+
+def _two_pos_one_driver() -> BooleanNetwork:
+    net = BooleanNetwork("two_pos")
+    net.add_pi("a")
+    net.add_pi("b")
+    net.add_gate("g", "xor", ["a", "b"])
+    net.add_po("y1", "g")
+    net.add_po("y2", "g")
+    return net
+
+
+def _plain_and_complemented_po() -> BooleanNetwork:
+    net = BooleanNetwork("polarity")
+    net.add_pi("a")
+    net.add_pi("b")
+    net.add_pi("c")
+    net.add_gate("g", "and", ["a", "b"])
+    net.add_gate("gn", "not", ["g"])
+    net.add_gate("h", "or", ["g", "c"])
+    net.add_po("pos", "g")
+    net.add_po("neg", "gn")
+    net.add_po("other", "h")
+    return net
+
+
+def _pis_and_inverter() -> BooleanNetwork:
+    net = BooleanNetwork("pis_inv")
+    net.add_pi("a")
+    net.add_pi("b")
+    net.add_gate("inv", "not", ["a"])
+    net.add_po("y", "inv")
+    net.add_po("b_out", "b")
+    return net
+
+
 class TestEdgeCases:
+    @pytest.mark.parametrize(
+        "build",
+        [_constant_po, _po_on_pi, _two_pos_one_driver, _plain_and_complemented_po,
+         _pis_and_inverter],
+        ids=lambda build: build.__name__.lstrip("_"),
+    )
+    def test_degenerate_networks_across_runtime_matrix(self, build, tmp_path):
+        # jobs 1/2 x cache off / readwrite-cold / readwrite-warm (after
+        # the fleet drops its stores), all at verify_level=2: every cell
+        # emits the same network, equivalent to the source, K-feasible
+        # and with the depth it claims.
+        net = build()
+        dumps = {}
+        try:
+            for jobs in (1, 2):
+                root = tmp_path / f"jobs{jobs}"
+                for label, cache in (("off", "off"), ("cold", "readwrite"),
+                                     ("warm", "readwrite")):
+                    if label == "warm":
+                        reset_fleet()
+                    config = DDBDDConfig(jobs=jobs, cache=cache, cache_dir=str(root),
+                                         verify_level=2)
+                    result = ddbdd_synthesize(net, config)
+                    where = f"jobs={jobs} cache={label}"
+                    assert result.network.max_fanin() <= config.k, where
+                    assert result.depth == network_depth(result.network), where
+                    assert_equivalent(net, result.network, where)
+                    dumps[jobs, label] = net_dump(result.network)
+        finally:
+            reset_fleet()
+        assert len(set(dumps.values())) == 1, sorted(dumps)
+
     def test_constant_output(self):
         net = BooleanNetwork()
         net.add_pi("a")

@@ -1,19 +1,10 @@
-"""The Pipeline runner: contracts, telemetry, run_flow semantics."""
+"""The Algorithm 1 stage loop: telemetry, run_flow semantics, audits."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.benchgen import build_circuit
 from repro.core import DDBDDConfig, ddbdd_synthesize
-from repro.flow import (
-    BasePass,
-    FlowError,
-    FlowState,
-    Pipeline,
-    build_pipeline,
-    run_flow,
-)
+from repro.flow import FlowState, run_flow, run_stages, stage_names
 from tests.runtime.helpers import net_dump
 
 
@@ -42,73 +33,28 @@ def test_telemetry_surfaces_in_render_and_dict():
     assert all("bdd_cache_hit_rate" in row for row in d["passes"])
 
 
-def test_config_flow_override_equals_collapse_ablation():
+def test_collapse_off_drops_the_collapse_stage():
     net = build_circuit("sct")
-    via_flag = ddbdd_synthesize(net, DDBDDConfig(collapse=False))
-    via_script = run_flow(net, DDBDDConfig(flow="sweep;synth;map"))
-    assert (via_script.depth, via_script.area) == (via_flag.depth, via_flag.area)
-    assert net_dump(via_script.network) == net_dump(via_flag.network)
-    assert via_script.collapse_stats is None
-    # Telemetry reflects the actual pass list, not the default flow.
-    assert [t.name for t in via_script.runtime_stats.passes] == ["sweep", "synth", "map"]
-
-
-def test_synth_pass_options_do_not_change_output():
-    net = build_circuit("misex1")
-    base = run_flow(net, DDBDDConfig())
-    forced = run_flow(net, DDBDDConfig(flow="sweep;collapse;synth(jobs=2);map"))
-    assert (forced.depth, forced.area) == (base.depth, base.area)
-    assert net_dump(forced.network) == net_dump(base.network)
-
-
-def test_run_flow_requires_a_finishing_pass():
-    with pytest.raises(FlowError, match="did not finish"):
-        run_flow(build_circuit("count"), DDBDDConfig(), script="sweep;collapse;synth")
-
-
-def test_pipeline_enforces_requires():
-    net = build_circuit("count")
-    # 'map' requires the synth pass's mapped network.
-    with pytest.raises(FlowError, match="requires state field"):
-        build_pipeline("sweep;map").run(FlowState.initial(net, DDBDDConfig()))
-
-
-def test_pipeline_enforces_provides():
-    class Hollow(BasePass):
-        name = "hollow"
-        provides = ("mapped",)
-
-        def run(self, state: FlowState) -> FlowState:
-            return state
-
-    net = build_circuit("count")
-    with pytest.raises(FlowError, match="did not populate"):
-        Pipeline([Hollow()]).run(FlowState.initial(net, DDBDDConfig()))
-
-
-def test_empty_pipeline_rejected():
-    with pytest.raises(FlowError):
-        Pipeline([])
-
-
-def test_unknown_pass_option_rejected_at_build_time():
-    with pytest.raises(FlowError, match="does not accept"):
-        build_pipeline("sweep;collapse;synth(jbos=2);map")
+    assert stage_names(DDBDDConfig(collapse=False)) == ("sweep", "synth", "map")
+    result = run_flow(net, DDBDDConfig(collapse=False))
+    assert result.collapse_stats is None
+    assert [t.name for t in result.runtime_stats.passes] == ["sweep", "synth", "map"]
+    via_alias = ddbdd_synthesize(net, DDBDDConfig(collapse=False))
+    assert net_dump(via_alias.network) == net_dump(result.network)
 
 
 def test_partial_pipeline_for_front_half():
     net = build_circuit("sct")
-    state = build_pipeline("sweep;collapse").run(FlowState.initial(net, DDBDDConfig()))
+    state = run_stages(FlowState.initial(net, DDBDDConfig()), ("sweep", "collapse"))
     assert state.collapse_stats is not None
-    assert not state.finished and state.mapped is None
+    assert state.mapped is None
     assert [t.name for t in state.stats.passes] == ["sweep", "collapse"]
 
 
 def test_verify_level2_runs_stage_boundaries():
     net = build_circuit("count")
     config = DDBDDConfig(verify_level=2)
-    state = FlowState.initial(net, config)
-    build_pipeline("sweep;collapse;synth;map").run(state)
+    state = run_stages(FlowState.initial(net, config))
     stages = state.verifier.stages_run
     assert "sweep" in stages
     assert "collapse" in stages

@@ -82,5 +82,3 @@ def test_invalid_runtime_config_rejected():
         DDBDDConfig(jobs=-1)
     with pytest.raises(ValueError):
         DDBDDConfig(cache="sometimes")
-    with pytest.raises(ValueError):
-        DDBDDConfig(cache_max_entries=0)

@@ -18,7 +18,7 @@ from repro.core.config import DDBDDConfig
 from repro.flow import run_flow
 from repro.network import network_to_blif
 from repro.runtime.stats import STATS_SCHEMA
-from repro.serve import ServerConfig
+from repro.serve import PROTOCOL_SCHEMA, ServerConfig
 from tests.serve.helpers import DaemonHarness
 
 
@@ -85,7 +85,7 @@ class TestAsyncLifecycle:
         assert kinds[-1] == "state" and events[-1]["state"] == "done"
         passes = [e["pass"]["name"] for e in events if e["event"] == "pass"]
         assert passes == ["sweep", "collapse", "synth", "map"]
-        assert all(e["schema"] == 1 and e["job"] == job["id"] for e in events)
+        assert all(e["schema"] == PROTOCOL_SCHEMA and e["job"] == job["id"] for e in events)
 
     def test_sync_failure_maps_to_500_with_structured_error(self, daemon):
         # An impossible node budget trips the degradation ladder's floor.
@@ -123,11 +123,11 @@ class TestHttpErrors:
 
     def test_validation_400_with_structured_body(self, daemon):
         status, body = daemon.request(
-            "POST", "/v1/synthesize", {"benchmark": "mux", "flow": "sweep;collapse"}
+            "POST", "/v1/synthesize", {"benchmark": "mux", "config": {"k": 1}}
         )
         assert status == 400
-        assert body["schema"] == 1
-        assert body["error"]["code"] == "invalid_flow"
+        assert body["schema"] == PROTOCOL_SCHEMA
+        assert body["error"]["code"] == "invalid_config"
 
     def test_unknown_job_404(self, daemon):
         status, body = daemon.request("GET", "/v1/jobs/j999999")
@@ -148,7 +148,7 @@ class TestObservability:
     def test_healthz(self, daemon):
         status, health = daemon.request("GET", "/healthz")
         assert status == 200
-        assert health["schema"] == 1
+        assert health["schema"] == PROTOCOL_SCHEMA
         assert health["version"] == __version__
         assert health["state"] == "serving"
         assert health["uptime_s"] >= 0

@@ -107,7 +107,7 @@ def test_priority_maps_to_fleet_weight(monkeypatch, priority, explicit, expected
     request = parse_submit(payload)
 
     seen = {}
-    def fake_run_flow(net, config, script=None, observer=None):
+    def fake_run_flow(net, config, observer=None):
         seen["weight"] = config.fleet_weight
         raise RuntimeError("stop here")
 

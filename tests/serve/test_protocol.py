@@ -47,17 +47,25 @@ class TestRejections:
         assert exc.code == "invalid_circuit"
 
     def test_flow_grammar_error(self):
+        # Schema 2 runs one fixed flow; a flow script is not a field, so a
+        # malformed one is refused as unknown before any grammar is read.
         exc = submit_error({"benchmark": "mux", "flow": "sweep;;bogus("})
-        assert exc.code == "invalid_flow"
+        assert (exc.status, exc.code) == (400, "invalid_request")
+        assert "flow" in exc.message
 
     def test_partial_flow_rejected(self):
-        # A flow that never maps can't produce a servable result.
-        exc = submit_error({"benchmark": "mux", "flow": "sweep;collapse"})
-        assert exc.code == "invalid_flow"
-        assert "finish" in exc.message
+        # Partial and complete scripts alike: 'flow' is an unknown field.
+        for script in ("sweep;collapse", "sweep;collapse;synth;map"):
+            exc = submit_error({"benchmark": "mux", "flow": script})
+            assert (exc.status, exc.code) == (400, "invalid_request")
+            assert "flow" in exc.message
 
     def test_unknown_config_key(self):
-        for key, value in (("jbos", 2), ("cache_remote", "http://127.0.0.1:9")):
+        for key, value in (
+            ("jbos", 2),
+            ("cache_remote", "http://127.0.0.1:9"),
+            ("cache_max_entries", 1),
+        ):
             exc = submit_error({"benchmark": "mux", "config": {key: value}})
             assert exc.code == "invalid_config"
             assert key in exc.message
@@ -105,7 +113,6 @@ class TestAccepted:
         )
         assert req.config.cache_claims is False
         assert req.source == "benchmark:mux"
-        assert "map" in req.pipeline_script
         desc = req.describe()
         assert desc["tenant"] == "alice" and desc["faults_armed"] is False
 
@@ -121,10 +128,6 @@ class TestAccepted:
         )
         assert req.config.job_deadline_s == 2.5
         assert req.config.job_node_budget == 10_000
-
-    def test_explicit_flow_script(self):
-        req = parse_submit({"benchmark": "mux", "flow": "sweep;synth;map"})
-        assert req.pipeline_script == "sweep;synth;map"
 
     def test_snapshot_key_contract(self):
         from repro.serve.queue import ServeJob

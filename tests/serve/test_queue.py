@@ -22,7 +22,6 @@ def make_request(
     return SubmitRequest(
         net=MUX,
         config=DDBDDConfig(faults=faults),
-        pipeline_script="sweep;synth;map",
         source="benchmark:mux",
         tenant=tenant,
         priority=priority,

@@ -49,8 +49,8 @@ def test_synth_stats_json(capsys):
     assert payload["jobs"] == 1
 
 
-def test_synth_passes_flag_drives_flow(capsys):
-    assert main(["synth", "count", "--passes", "sweep;synth;map", "--stats-json"]) == 0
+def test_synth_no_collapse_drops_the_collapse_stage(capsys):
+    assert main(["synth", "count", "--no-collapse", "--stats-json"]) == 0
     json_line = [
         line for line in capsys.readouterr().out.splitlines() if line.startswith("{")
     ][-1]
