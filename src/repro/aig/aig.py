@@ -10,7 +10,7 @@ canonical enough for the mapper baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 FALSE_LIT = 0
 TRUE_LIT = 1

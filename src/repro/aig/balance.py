@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.aig.aig import AIG, lit, lit_compl, lit_not, lit_var
+from repro.aig.aig import AIG, lit, lit_compl, lit_var
 from repro.utils import recursion_headroom
 
 

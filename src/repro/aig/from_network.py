@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Tuple
 
-from repro.aig.aig import AIG, TRUE_LIT, FALSE_LIT, lit_not, lit_var
+from repro.aig.aig import AIG, TRUE_LIT, FALSE_LIT, lit_not
 from repro.bdd.isop import isop
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork

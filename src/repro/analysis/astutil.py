@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: The shared suppression comment marker.  One syntax for every analyzer
 #: in this package: ``# repolint: disable=RL004`` and

@@ -18,8 +18,8 @@ sweep).  :func:`raise_on_errors` turns error diagnostics into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence
 
 ERROR = "error"
 WARNING = "warning"

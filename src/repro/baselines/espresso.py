@@ -10,8 +10,6 @@ increase total literal count by more than a threshold (the classic
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.bdd.isop import cube_literal_count, isop
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork

@@ -46,7 +46,7 @@ queries are engineered for throughput:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bdd.manager import BDDManager
 
@@ -221,29 +221,7 @@ class LeveledBDD:
         if node_level[u] > cut_abs:
             raise ValueError("root below its own cut")
         mgr = self.mgr
-        mk = mgr._mk
-        var_a = mgr._var
-        lo_a = mgr._lo
-        hi_a = mgr._hi
-        row_get = row.get
-
-        def walk(w: int) -> int:
-            if node_level[w] > cut_abs:
-                return 1 if w == v else 0
-            got = row_get(w)
-            if got is not None:
-                return got
-            # The walk preserves the order (children sit at deeper
-            # levels), so find-or-create replaces the generic ite.
-            p = w & 1
-            i = w >> 1
-            t = walk(hi_a[i] ^ p)
-            e = walk(lo_a[i] ^ p)
-            result = mk(var_a[i], e, t)
-            row[w] = result
-            return result
-
-        return walk(u)
+        return _bs_walk(u, cut_abs, v, node_level, row, mgr._mk, mgr._var, mgr._lo, mgr._hi)
 
     def function(self) -> int:
         """The full function, equal to ``Bs(root, depth-1, ONE)``."""
@@ -261,3 +239,26 @@ class LeveledBDD:
             stack.append(self.t_child(w))
             stack.append(self.e_child(w))
         return sorted(seen, key=lambda n: (self.node_level[n], n))
+
+
+def _bs_walk(
+    w: int, cut_abs: int, v: int, node_level: Dict[int, int], row: Dict[int, int],
+    mk: Callable[[int, int, int], int], var_a: List[int], lo_a: List[int], hi_a: List[int],
+) -> int:
+    """The walk of :meth:`LeveledBDD.bs_function` below ``w``, filling
+    ``row`` (hi before lo).  A module-level function: a nested one that
+    calls itself would be a reference cycle left for the collector."""
+    if node_level[w] > cut_abs:
+        return 1 if w == v else 0
+    got = row.get(w)
+    if got is not None:
+        return got
+    # The walk preserves the order (children sit at deeper levels), so
+    # find-or-create replaces the generic ite.
+    p = w & 1
+    i = w >> 1
+    t = _bs_walk(hi_a[i] ^ p, cut_abs, v, node_level, row, mk, var_a, lo_a, hi_a)
+    e = _bs_walk(lo_a[i] ^ p, cut_abs, v, node_level, row, mk, var_a, lo_a, hi_a)
+    result = mk(var_a[i], e, t)
+    row[w] = result
+    return result

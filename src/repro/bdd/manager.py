@@ -69,9 +69,9 @@ tuned for CPython:
 * The operators recurse once per BDD level; a caller with BDDs deeper
   than the interpreter's recursion limit wraps the work in
   :func:`repro.utils.recursion_headroom`, as the DP does.
-* Cheap counters (:meth:`cache_stats`) expose unique-table and
-  per-operator cache hit rates plus the complement-edge wins (free
-  negations served, store rows saved, column bytes) for profiling.
+* Counters (:meth:`cache_stats`) expose unique-table and per-operator
+  cache hit rates plus the complement-edge wins (free negations served,
+  store rows saved, column bytes) for profiling.
 
 Deterministic consumers that need stable tie-breaks (the DP's cut-set
 and level sorts in :mod:`repro.bdd.leveled`) sort by raw handle value:
@@ -130,7 +130,11 @@ class BDDManager:
         ``k``.  Defaults to the identity.
     node_limit:
         Hard cap on the store row count; exceeded growth raises
-        :class:`NodeLimitExceeded`.  ``None`` means unlimited.
+        :class:`NodeLimitExceeded`.  ``None`` means unlimited.  Fixed
+        for the manager's life.
+
+    The operator entry points are closures compiled for this manager;
+    call them only while the manager is alive.
     """
 
     ZERO = 0
@@ -168,7 +172,7 @@ class BDDManager:
         self._cofactor_cache: Dict[int, int] = {}
         self._size_cache: Dict[int, int] = {}
         self._support_cache: Dict[int, "frozenset[int]"] = {}
-        self.node_limit = node_limit
+        self._node_limit = node_limit
 
         # Statistics counters (see cache_stats()): cache hits indexed by
         # _H_*, plus the free-negation count.
@@ -192,6 +196,18 @@ class BDDManager:
             self.apply_xnor,
             self.ite,
         ) = _build_engines(self)
+
+    def __del__(self) -> None:
+        # The compiled engines recurse through their own closure cells, a
+        # reference cycle that would hold the store columns and caches
+        # until the cyclic collector ran.  Emptying the cells ends the
+        # cycle, so the store dies with its manager (and an engine called
+        # after that raises).  A failed __init__ may have built none.
+        for name in ("apply_and", "apply_xor", "ite"):
+            engine = self.__dict__.get(name)
+            if engine is not None:
+                for cell in engine.__closure__:
+                    cell.cell_contents = None
 
     # ------------------------------------------------------------------
     # Variables and order
@@ -220,6 +236,12 @@ class BDDManager:
     @property
     def num_vars(self) -> int:
         return len(self._names)
+
+    @property
+    def node_limit(self) -> Optional[int]:
+        """The store row cap given at construction (``None``: unlimited).
+        Read-only: the compiled engines hold it by value."""
+        return self._node_limit
 
     @property
     def num_nodes(self) -> int:
@@ -271,7 +293,7 @@ class BDDManager:
         row = len(var_col)
         got = self._unique.setdefault(key, row)
         if got == row:
-            limit = self.node_limit
+            limit = self._node_limit
             if limit is not None and row >= limit:
                 del self._unique[key]
                 raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
@@ -367,38 +389,10 @@ class BDDManager:
         fanout function on the same variable once per merge probe, and
         :meth:`compose` calls both polarities back to back.
         """
-        target_level = self._level_of[v]
-        level_of = self._level_of
-        var_a = self._var
-        lo_a = self._lo
-        hi_a = self._hi
-        mk = self._mk
-        cache = self._cofactor_cache
-        cache_get = cache.get
-        tag = (v << 1) | (1 if value else 0)
-
-        def walk(node: int) -> int:
-            if node <= 1:
-                return node
-            p = node & 1
-            node ^= p
-            i = node >> 1
-            lvl = level_of[var_a[i]]
-            if lvl > target_level:
-                return node ^ p
-            key = (node << _SHIFT) | tag
-            got = cache_get(key)
-            if got is None:
-                if lvl == target_level:
-                    got = hi_a[i] if value else lo_a[i]
-                else:
-                    got = mk(var_a[i], walk(lo_a[i]), walk(hi_a[i]))
-                if len(cache) >= OP_CACHE_CAP:
-                    cache.clear()
-                cache[key] = got
-            return got ^ p
-
-        return walk(f)
+        return _restrict(
+            f, self._level_of[v], (v << 1) | (1 if value else 0),
+            self._level_of, self._var, self._lo, self._hi, self._mk, self._cofactor_cache,
+        )
 
     def compose(self, f: int, v: int, g: int) -> int:
         """Substitute function ``g`` for variable ``v`` inside ``f``.
@@ -565,27 +559,7 @@ class BDDManager:
         """Number of satisfying assignments over ``num_vars`` variables."""
         if num_vars is None:
             num_vars = self.num_vars
-        cache: Dict[int, int] = {}
-
-        def walk(node: int) -> Tuple[int, int]:
-            # Returns (count, level) where count is over vars below `level`.
-            if node == self.ZERO:
-                return 0, num_vars
-            if node == self.ONE:
-                return 1, num_vars
-            i = node >> 1
-            if node in cache:
-                count = cache[node]
-            else:
-                p = node & 1
-                c0, l0 = walk(self._lo[i] ^ p)
-                c1, l1 = walk(self._hi[i] ^ p)
-                my_level = self._level_of[self._var[i]]
-                count = c0 * (1 << (l0 - my_level - 1)) + c1 * (1 << (l1 - my_level - 1))
-                cache[node] = count
-            return count, self._level_of[self._var[i]]
-
-        count, level = walk(f)
+        count, level = _sat_count(self, f, num_vars, {})
         return count * (1 << level)
 
     def one_sat(self, f: int) -> Optional[Dict[int, bool]]:
@@ -650,8 +624,8 @@ class BDDManager:
         for key, r in cache.items():
             yield (key >> _SHIFT, key & _MASK), r
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Unique-table and operator-cache counters (cheap snapshot).
+    def cache_stats(self, gauges: bool = True) -> Dict[str, int]:
+        """Unique-table and operator-cache counters.
 
         ``*_hits`` counts cache hits since construction; ``*_entries``
         is the current entry count (misses that produced a result).
@@ -661,10 +635,12 @@ class BDDManager:
         whole DAG per call), ``unique_saved`` is distinct functions
         materialized minus store rows — node entries the complement
         canonicalization avoided storing — and ``store_bytes`` is the
-        memory footprint of the three store columns.
+        memory footprint of the three store columns.  Those last two
+        gauges are left out when ``gauges`` is false: ``unique_saved``
+        walks every store row, the rest costs O(1).
         """
         hits = self._hits
-        return {
+        stats = {
             "nodes": len(self._var),
             "unique_entries": len(self._unique),
             "unique_hits": hits[_H_UNIQUE],
@@ -675,11 +651,13 @@ class BDDManager:
             "xor_entries": len(self._xor_cache),
             "xor_hits": hits[_H_XOR],
             "neg_free": self._neg_free,
-            "unique_saved": len({lo >> 1 for lo in self._lo if lo & 1}),
-            "store_bytes": (
-                sys.getsizeof(self._var) + sys.getsizeof(self._lo) + sys.getsizeof(self._hi)
-            ),
         }
+        if gauges:
+            stats["unique_saved"] = len({lo >> 1 for lo in self._lo if lo & 1})
+            stats["store_bytes"] = (
+                sys.getsizeof(self._var) + sys.getsizeof(self._lo) + sys.getsizeof(self._hi)
+            )
+        return stats
 
     # ------------------------------------------------------------------
     # Transfer between managers
@@ -706,38 +684,8 @@ class BDDManager:
             # The destination keeps the source's relative order: copy node
             # by node.  The walk visits hi before lo, like the expansion
             # below, so it creates the same rows in the same order.
-            copies: Dict[int, int] = {}
-
-            def copy(node: int) -> int:
-                if node <= 1:
-                    return node
-                got = copies.get(node)
-                if got is None:
-                    var, lo, hi = self.node(node)
-                    hi_copy = copy(hi)
-                    got = copies[node] = other._mk(var_map[var], copy(lo), hi_copy)
-                return got
-
-            return copy(f)
-        cache: Dict[Tuple[int, int], int] = {}
-
-        def build(node: int, depth: int) -> int:
-            if node == self.ZERO:
-                return other.ZERO
-            if node == self.ONE:
-                return other.ONE
-            key = (node, depth)
-            got = cache.get(key)
-            if got is not None:
-                return got
-            src_v = dst_order_src_vars[depth]
-            hi = build(self.cofactor(node, src_v, True), depth + 1)
-            lo = build(self.cofactor(node, src_v, False), depth + 1)
-            result = other._mk(var_map[src_v], lo, hi)
-            cache[key] = result
-            return result
-
-        return build(f, 0)
+            return _copy(self, f, other._mk, var_map, {})
+        return _expand(self, f, 0, other, dst_order_src_vars, var_map, {})
 
     # ------------------------------------------------------------------
     # In-place reordering support (Rudell sifting)
@@ -932,6 +880,102 @@ class BDDManager:
         return f"<BDDManager vars={self.num_vars} nodes={self.num_nodes}>"
 
 
+# ----------------------------------------------------------------------
+# Recursive walks
+# ----------------------------------------------------------------------
+# Module-level functions that take their state as arguments: a nested
+# function that calls itself is a reference cycle, which would keep the
+# walk, and everything it captured, alive until the cyclic collector ran.
+
+
+def _restrict(
+    node: int, target_level: int, tag: int, level_of: List[int], var_a: List[int],
+    lo_a: List[int], hi_a: List[int], mk: Callable[[int, int, int], int],
+    cache: Dict[int, int],
+) -> int:
+    """The walk of :meth:`BDDManager.cofactor`: ``tag`` is ``v << 1 |
+    value``, ``target_level`` the level of ``v``; lo before hi."""
+    if node <= 1:
+        return node
+    p = node & 1
+    node ^= p
+    i = node >> 1
+    lvl = level_of[var_a[i]]
+    if lvl > target_level:
+        return node ^ p
+    key = (node << _SHIFT) | tag
+    got = cache.get(key)
+    if got is None:
+        if lvl == target_level:
+            got = hi_a[i] if tag & 1 else lo_a[i]
+        else:
+            got = mk(
+                var_a[i],
+                _restrict(lo_a[i], target_level, tag, level_of, var_a, lo_a, hi_a, mk, cache),
+                _restrict(hi_a[i], target_level, tag, level_of, var_a, lo_a, hi_a, mk, cache),
+            )
+        if len(cache) >= OP_CACHE_CAP:
+            cache.clear()
+        cache[key] = got
+    return got ^ p
+
+
+def _sat_count(mgr: BDDManager, node: int, num_vars: int, cache: Dict[int, int]) -> Tuple[int, int]:
+    """``(count, level)`` of ``node`` for :meth:`BDDManager.sat_count`:
+    ``count`` is over the variables below ``level``."""
+    if node <= 1:
+        return node, num_vars
+    i = node >> 1
+    level_of = mgr._level_of
+    if node in cache:
+        count = cache[node]
+    else:
+        p = node & 1
+        c0, l0 = _sat_count(mgr, mgr._lo[i] ^ p, num_vars, cache)
+        c1, l1 = _sat_count(mgr, mgr._hi[i] ^ p, num_vars, cache)
+        my_level = level_of[mgr._var[i]]
+        count = c0 * (1 << (l0 - my_level - 1)) + c1 * (1 << (l1 - my_level - 1))
+        cache[node] = count
+    return count, level_of[mgr._var[i]]
+
+
+def _copy(
+    src: BDDManager, node: int, mk: Callable[[int, int, int], int],
+    var_map: Dict[int, int], copies: Dict[int, int],
+) -> int:
+    """Node-by-node copy of ``node`` for :meth:`BDDManager.transfer`
+    into the manager whose ``_mk`` is ``mk``; hi before lo."""
+    if node <= 1:
+        return node
+    got = copies.get(node)
+    if got is None:
+        var, lo, hi = src.node(node)
+        hi_copy = _copy(src, hi, mk, var_map, copies)
+        got = copies[node] = mk(var_map[var], _copy(src, lo, mk, var_map, copies), hi_copy)
+    return got
+
+
+def _expand(
+    src: BDDManager, node: int, depth: int, dst: BDDManager, order: List[int],
+    var_map: Dict[int, int], cache: Dict[Tuple[int, int], int],
+) -> int:
+    """Shannon expansion of ``node`` for :meth:`BDDManager.transfer` on
+    ``order[depth]``, the source variables in destination order; hi
+    before lo."""
+    if node <= 1:
+        return node
+    key = (node, depth)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    src_v = order[depth]
+    hi = _expand(src, src.cofactor(node, src_v, True), depth + 1, dst, order, var_map, cache)
+    lo = _expand(src, src.cofactor(node, src_v, False), depth + 1, dst, order, var_map, cache)
+    result = dst._mk(var_map[src_v], lo, hi)
+    cache[key] = result
+    return result
+
+
 def _build_engines(
     mgr: BDDManager,
 ) -> Tuple[
@@ -955,7 +999,11 @@ def _build_engines(
     method.  Every captured container is mutated *in place* by the
     manager (``add_var`` appends to the level maps, ``clear_caches``
     clears the dicts, level swaps rewrite the columns) and never
-    rebound, so the closures always see current state.
+    rebound, so the closures always see current state.  The node limit
+    is captured by value (``node_limit`` is read-only), so no engine
+    refers to the manager itself; ``BDDManager.__del__`` empties the
+    cells of the self-recursive cores, and an engine is valid only
+    while its manager lives.
 
     Semantics:
 
@@ -996,6 +1044,7 @@ def _build_engines(
     lo_append = lo_a.append
     hi_append = hi_a.append
     cap = OP_CACHE_CAP
+    limit = mgr._node_limit
     h_unique, h_ite, h_and, h_xor = _H_UNIQUE, _H_ITE, _H_AND, _H_XOR
 
     # ------------------------------------------------------------------
@@ -1081,7 +1130,6 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                limit = mgr.node_limit
                 if limit is not None and row >= limit:
                     del unique[ukey]
                     raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
@@ -1191,7 +1239,6 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                limit = mgr.node_limit
                 if limit is not None and row >= limit:
                     del unique[ukey]
                     raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
@@ -1388,7 +1435,6 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                limit = mgr.node_limit
                 if limit is not None and row >= limit:
                     del unique[ukey]
                     raise NodeLimitExceeded(f"manager exceeded {limit} nodes")

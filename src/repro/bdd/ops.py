@@ -11,7 +11,7 @@ checking share.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bdd.manager import BDDManager
 
@@ -57,35 +57,31 @@ def constrain(mgr: BDDManager, f: int, care: int) -> int:
     """
     if care == mgr.ZERO:
         raise ValueError("care set is empty")
-    cache: Dict[tuple, int] = {}
+    return _constrain(mgr, f, care, {})
 
-    def walk(ff: int, cc: int) -> int:
-        if cc == mgr.ONE or mgr.is_terminal(ff):
-            return ff
-        key = (ff, cc)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        level_f = mgr.level_of(mgr.top_var(ff)) if not mgr.is_terminal(ff) else None
-        level_c = mgr.level_of(mgr.top_var(cc))
-        if level_f is None or level_c < level_f:
-            v = mgr.top_var(cc)
-        else:
-            v = mgr.top_var(ff)
-        c0 = mgr.cofactor(cc, v, False)
-        c1 = mgr.cofactor(cc, v, True)
-        f0 = mgr.cofactor(ff, v, False)
-        f1 = mgr.cofactor(ff, v, True)
-        if c0 == mgr.ZERO:
-            result = walk(f1, c1)
-        elif c1 == mgr.ZERO:
-            result = walk(f0, c0)
-        else:
-            result = mgr.ite(mgr.var(v), walk(f1, c1), walk(f0, c0))
-        cache[key] = result
-        return result
 
-    return walk(f, care)
+def _constrain(mgr: BDDManager, ff: int, cc: int, cache: Dict[Tuple[int, int], int]) -> int:
+    if cc == mgr.ONE or mgr.is_terminal(ff):
+        return ff
+    key = (ff, cc)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    level_f = mgr.level_of(mgr.top_var(ff))
+    level_c = mgr.level_of(mgr.top_var(cc))
+    v = mgr.top_var(cc) if level_c < level_f else mgr.top_var(ff)
+    c0 = mgr.cofactor(cc, v, False)
+    c1 = mgr.cofactor(cc, v, True)
+    f0 = mgr.cofactor(ff, v, False)
+    f1 = mgr.cofactor(ff, v, True)
+    if c0 == mgr.ZERO:
+        result = _constrain(mgr, f1, c1, cache)
+    elif c1 == mgr.ZERO:
+        result = _constrain(mgr, f0, c0, cache)
+    else:
+        result = mgr.ite(mgr.var(v), _constrain(mgr, f1, c1, cache), _constrain(mgr, f0, c0, cache))
+    cache[key] = result
+    return result
 
 
 def translate(src: BDDManager, f: int, dst: BDDManager, lit_by_var: Dict[int, int]) -> int:
@@ -135,22 +131,9 @@ def minimize_with_dc(mgr: BDDManager, f: int, dont_care: int) -> int:
 # ----------------------------------------------------------------------
 def serialize(mgr: BDDManager, roots: Sequence[int]) -> dict:
     """Dump functions to a JSON-able dict (shared structure kept)."""
-    order: List[int] = []
     index: Dict[int, int] = {0: 0, 1: 1}
     nodes: List[List[int]] = []
-
-    def visit(n: int) -> int:
-        if n in index:
-            return index[n]
-        var, lo, hi = mgr.node(n)
-        lo_i = visit(lo)
-        hi_i = visit(hi)
-        idx = len(nodes) + 2
-        index[n] = idx
-        nodes.append([var, lo_i, hi_i])
-        return idx
-
-    root_ids = [visit(r) for r in roots]
+    root_ids = [_serialize_node(mgr, r, index, nodes) for r in roots]
     return {
         "num_vars": mgr.num_vars,
         "var_names": [mgr.var_name(v) for v in range(mgr.num_vars)],
@@ -158,6 +141,18 @@ def serialize(mgr: BDDManager, roots: Sequence[int]) -> dict:
         "nodes": nodes,
         "roots": root_ids,
     }
+
+
+def _serialize_node(mgr: BDDManager, n: int, index: Dict[int, int], nodes: List[List[int]]) -> int:
+    if n in index:
+        return index[n]
+    var, lo, hi = mgr.node(n)
+    lo_i = _serialize_node(mgr, lo, index, nodes)
+    hi_i = _serialize_node(mgr, hi, index, nodes)
+    idx = len(nodes) + 2
+    index[n] = idx
+    nodes.append([var, lo_i, hi_i])
+    return idx
 
 
 def deserialize(data: dict) -> tuple:

@@ -17,8 +17,9 @@ structural signatures matter more than the exact functions:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.bdd.manager import BDDManager
 from repro.network.netlist import BooleanNetwork
 
 
@@ -401,30 +402,34 @@ def symmetric_function(
     """
     net = BooleanNetwork(name)
     pis = [net.add_pi(f"i{k}") for k in range(n_inputs)]
-    mgr = net.mgr
-    wanted = set(on_counts)
     # Dynamic program over (inputs consumed, count so far) as BDD layers.
-    cache: Dict[Tuple[int, int], int] = {}
-
-    def build(i: int, count: int) -> int:
-        if count > max(wanted, default=0):
-            # Still fine: may only grow; handled by the terminal test.
-            pass
-        if i == n_inputs:
-            return mgr.ONE if count in wanted else mgr.ZERO
-        key = (i, count)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        v = net.var_of(pis[i])
-        result = mgr.ite(mgr.var(v), build(i + 1, count + 1), build(i + 1, count))
-        cache[key] = result
-        return result
-
-    net.add_node_function("sym", pis, build(0, 0))
+    variables = [net.var_of(pi) for pi in pis]
+    func = _count_in(net.mgr, variables, 0, 0, set(on_counts), {})
+    net.add_node_function("sym", pis, func)
     net.add_po("po", "sym")
     net.check()
     return net
+
+
+def _count_in(
+    mgr: BDDManager, variables: List[int], i: int, count: int, wanted: Set[int],
+    cache: Dict[Tuple[int, int], int],
+) -> int:
+    """BDD of "the popcount of ``variables[i:]`` plus ``count`` is in
+    ``wanted``"."""
+    if i == len(variables):
+        return mgr.ONE if count in wanted else mgr.ZERO
+    key = (i, count)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    result = mgr.ite(
+        mgr.var(variables[i]),
+        _count_in(mgr, variables, i + 1, count + 1, wanted, cache),
+        _count_in(mgr, variables, i + 1, count, wanted, cache),
+    )
+    cache[key] = result
+    return result
 
 
 # ----------------------------------------------------------------------

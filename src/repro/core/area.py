@@ -15,8 +15,6 @@ circuit-level depth is asserted unchanged by the caller's tests.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.network.depth import depth_map, network_depth, required_times, topological_order
 from repro.network.netlist import BooleanNetwork
 from repro.network.transform import merge_duplicates, remove_dangling

@@ -20,7 +20,7 @@ merge) is marked and skipped.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.bdd.manager import BDDManager

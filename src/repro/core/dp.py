@@ -54,6 +54,8 @@ _MIN_RECURSION = 20_000
 # of one cut, and one prepared gate row ``(w, rel, CS(w, rel) or None)``.
 _Price = Tuple[int, int, int, int]
 _Row = Tuple[int, int, Optional[FrozenSet[int]]]
+# An emitted signal: ``(name in the target network, negated, depth)``.
+_Signal = Tuple[str, bool, int]
 
 _PRIO_ALIAS = KIND_PRIORITY["alias"]
 _PRIO_AND = KIND_PRIORITY["and"]
@@ -133,8 +135,11 @@ class BDDSynthesizer:
             # one the DP actually grows.  The eager check catches a job
             # that burned its whole deadline before the DP even started
             # (e.g. a stalled worker) on tiny BDDs whose recursion would
-            # never reach a periodic tick.
-            meter.bind_node_source(lambda: self.mgr.num_nodes)
+            # never reach a periodic tick.  The source closes over the
+            # manager, not over self, which holds the meter: that would
+            # be a reference cycle.
+            private = self.mgr
+            meter.bind_node_source(lambda: private.num_nodes)
             meter.check()
         # Map private-manager variables back to the caller's ids (the
         # transfer preserves variable ids, so this is the identity; kept
@@ -423,7 +428,7 @@ class BDDSynthesizer:
     def emit(
         self,
         net: BooleanNetwork,
-        leaf_signals: Dict[int, Tuple[str, bool, int]],
+        leaf_signals: Dict[int, _Signal],
         prefix: str,
     ) -> SupernodeResult:
         """Materialize the chosen decomposition as LUT nodes in ``net``.
@@ -439,120 +444,18 @@ class BDDSynthesizer:
     def _emit(
         self,
         net: BooleanNetwork,
-        leaf_signals: Dict[int, Tuple[str, bool, int]],
+        leaf_signals: Dict[int, _Signal],
         prefix: str,
     ) -> SupernodeResult:
         for var, (_, _, d) in leaf_signals.items():
             if d != self.input_delays.get(var, d):
                 raise ValueError("leaf depth disagrees with input_delays")
         root_delay = self.synthesize()
-        emitted: Dict[State, Tuple[str, bool, int]] = {}
-        # Distinct states frequently denote the same Boolean function;
-        # share their LUTs (keyed by the canonical private-manager BDD).
-        by_function: Dict[int, Tuple[str, bool, int]] = {}
         luts_before = len(net.nodes)
-        counter = [0]
-
-        def fresh() -> str:
-            counter[0] += 1
-            return net.fresh_name(f"{prefix}_{counter[0]}_")
-
-        def lit_of(sig: Tuple[str, bool, int]) -> int:
-            name, neg, _ = sig
-            f = net.mgr.var(net.var_of(name))
-            return net.mgr.negate(f) if neg else f
-
-        def make_lut(func: int, fanins: List[str], depth: int) -> Tuple[str, bool, int]:
-            name = fresh()
-            net.add_node_function(name, fanins, func)
-            return (name, False, depth)
-
-        def signal(state: State) -> Tuple[str, bool, int]:
-            got = emitted.get(state)
-            if got is not None:
-                return got
-            self.delay(state)  # ensure plan exists
-            func_key = self.lb.bs_function(*state)
-            shared = by_function.get(func_key)
-            if shared is not None and shared[2] <= self._delay[state]:
-                emitted[state] = shared
-                return shared
-            best = self._plan[state]
-            cand = best.candidate
-            result: Tuple[str, bool, int]
-            if cand.kind == "literal":
-                u, _, v = state
-                positive = v == self.lb.t_child(u)
-                name, neg, d = leaf_signals[self.lb.var_of(u)]
-                result = (name, neg if positive else (not neg), d)
-            elif cand.kind == "litfunc":
-                func = self.lb.bs_function(*state)
-                var = next(iter(self.mgr.support(func)))
-                positive = func == self.mgr.var(var)
-                name, neg, d = leaf_signals[var]
-                result = (name, neg if positive else (not neg), d)
-            elif cand.kind == "lut":
-                func = self.lb.bs_function(*state)
-                support = self.mgr.support_ordered(func)
-                ops = [leaf_signals[x] for x in support]
-                local = translate(self.mgr, func, net.mgr,
-                                  {x: lit_of(leaf_signals[x]) for x in support})
-                depth = 1 + max(o[2] for o in ops)
-                result = make_lut(local, _unique([o[0] for o in ops]), depth)
-            elif cand.kind == "alias":
-                result = signal(cand.operands[0])
-            elif cand.kind in ("and", "or", "xnor", "mux"):
-                ops = [signal(s) for s in cand.operands]
-                mgr = net.mgr
-                lits = [lit_of(o) for o in ops]
-                if cand.kind == "and":
-                    func = mgr.apply_and(lits[0], lits[1])
-                elif cand.kind == "or":
-                    func = mgr.apply_or(lits[0], lits[1])
-                elif cand.kind == "xnor":
-                    func = mgr.apply_xnor(lits[0], lits[1])
-                else:
-                    func = mgr.ite(lits[0], lits[1], lits[2])
-                fanins = _unique([o[0] for o in ops])
-                depth = 1 + max(o[2] for o in ops)
-                result = make_lut(func, fanins, depth)
-            else:
-                assert cand.kind == "linear"
-                boxes = []
-                for gate in cand.gates:
-                    ops = [signal(s) for s in gate.ops]
-                    boxes.append(Box(max(o[2] for o in ops), gate.size, ops))
-                depth, out_bin, created = pack_or_gates(boxes, self.config.k)
-                bin_signals: Dict[int, Tuple[str, bool, int]] = {}
-                for bin_ in created:
-                    mgr = net.mgr
-                    func = mgr.ZERO
-                    fanins: List[str] = []
-                    for box in bin_.items:
-                        if isinstance(box.payload, PackedBin):
-                            child = bin_signals[id(box.payload)]
-                            term = lit_of(child)
-                            fanins.append(child[0])
-                        else:
-                            ops = box.payload
-                            term = mgr.ONE
-                            for o in ops:
-                                term = mgr.apply_and(term, lit_of(o))
-                            fanins.extend(o[0] for o in ops)
-                        func = mgr.apply_or(func, term)
-                    made = make_lut(func, _unique(fanins), bin_.depth + 1)
-                    bin_signals[id(bin_)] = made
-                result = bin_signals[id(out_bin)]
-                assert result[2] <= depth
-            emitted[state] = result
-            if func_key not in by_function or result[2] < by_function[func_key][2]:
-                by_function[func_key] = result
-            return result
-
-        out = signal(self.root_state)
+        out = _Emission(self, net, leaf_signals, prefix).signal(self.root_state)
         assert out[2] <= root_delay, "emission deeper than the DP bound"
         if self.config.verify_emission:
-            self._verify_emission(net, out, leaf_signals, luts_snapshot=emitted)
+            self._verify_emission(net, out, leaf_signals)
         return SupernodeResult(
             signal=out[0],
             negated=out[1],
@@ -569,9 +472,8 @@ class BDDSynthesizer:
     def _verify_emission(
         self,
         net: BooleanNetwork,
-        out: Tuple[str, bool, int],
-        leaf_signals: Dict[int, Tuple[str, bool, int]],
-        luts_snapshot,
+        out: _Signal,
+        leaf_signals: Dict[int, _Signal],
     ) -> None:
         """Check the emitted cone computes exactly the supernode function.
 
@@ -584,21 +486,148 @@ class BDDSynthesizer:
         for var, (name, neg, _) in leaf_signals.items():
             f = mgr.var(var)
             leaf_funcs[name] = mgr.negate(f) if neg else f
-
-        def cone_function(sig_name: str) -> int:
-            if sig_name in leaf_funcs:
-                return leaf_funcs[sig_name]
-            node = net.nodes[sig_name]
-            by_var = {net.var_of(f): cone_function(f) for f in node.fanins}
-            result = translate(net.mgr, node.func, mgr, by_var)
-            leaf_funcs[sig_name] = result
-            return result
-
-        actual = cone_function(out[0])
+        actual = _cone_function(out[0], net, mgr, leaf_funcs)
         if out[1]:
             actual = mgr.negate(actual)
         if actual != self.func:
             raise AssertionError("emitted network does not match the supernode function")
+
+
+def _cone_function(sig_name: str, net: BooleanNetwork, mgr: BDDManager, funcs: Dict[str, int]) -> int:
+    """The function of signal ``sig_name`` of ``net`` in ``mgr``, given
+    the functions of the cone's leaves in ``funcs`` (which memoizes)."""
+    got = funcs.get(sig_name)
+    if got is not None:
+        return got
+    node = net.nodes[sig_name]
+    by_var = {net.var_of(f): _cone_function(f, net, mgr, funcs) for f in node.fanins}
+    result = translate(net.mgr, node.func, mgr, by_var)
+    funcs[sig_name] = result
+    return result
+
+
+class _Emission:
+    """One :meth:`BDDSynthesizer.emit`: the walk that materializes the
+    plan of every state the root needs as LUTs in ``net``, and its
+    memos.  Methods rather than nested functions: a nested function
+    that calls itself is a reference cycle, which would hold the
+    synthesizer and its whole plan until the cyclic collector ran."""
+
+    def __init__(
+        self,
+        synth: BDDSynthesizer,
+        net: BooleanNetwork,
+        leaf_signals: Dict[int, _Signal],
+        prefix: str,
+    ) -> None:
+        self.synth = synth
+        self.net = net
+        self.leaf_signals = leaf_signals
+        self.prefix = prefix
+        self.emitted: Dict[State, _Signal] = {}
+        # Distinct states frequently denote the same Boolean function;
+        # share their LUTs (keyed by the canonical private-manager BDD).
+        self.by_function: Dict[int, _Signal] = {}
+        self.count = 0
+
+    def lit_of(self, sig: _Signal) -> int:
+        name, neg, _ = sig
+        mgr = self.net.mgr
+        f = mgr.var(self.net.var_of(name))
+        return mgr.negate(f) if neg else f
+
+    def make_lut(self, func: int, fanins: List[str], depth: int) -> _Signal:
+        self.count += 1
+        name = self.net.fresh_name(f"{self.prefix}_{self.count}_")
+        self.net.add_node_function(name, fanins, func)
+        return (name, False, depth)
+
+    def signal(self, state: State) -> _Signal:
+        """The signal computing ``Bs(state)``, emitting what it needs."""
+        got = self.emitted.get(state)
+        if got is not None:
+            return got
+        synth = self.synth
+        lb = synth.lb
+        leaf_signals = self.leaf_signals
+        lit_of = self.lit_of
+        synth.delay(state)  # ensure plan exists
+        func_key = lb.bs_function(*state)
+        by_function = self.by_function
+        shared = by_function.get(func_key)
+        if shared is not None and shared[2] <= synth._delay[state]:
+            self.emitted[state] = shared
+            return shared
+        cand = synth._plan[state].candidate
+        result: _Signal
+        if cand.kind == "literal":
+            u, _, v = state
+            positive = v == lb.t_child(u)
+            name, neg, d = leaf_signals[lb.var_of(u)]
+            result = (name, neg if positive else (not neg), d)
+        elif cand.kind == "litfunc":
+            func = lb.bs_function(*state)
+            var = next(iter(synth.mgr.support(func)))
+            positive = func == synth.mgr.var(var)
+            name, neg, d = leaf_signals[var]
+            result = (name, neg if positive else (not neg), d)
+        elif cand.kind == "lut":
+            func = lb.bs_function(*state)
+            support = synth.mgr.support_ordered(func)
+            ops = [leaf_signals[x] for x in support]
+            local = translate(synth.mgr, func, self.net.mgr,
+                              {x: lit_of(leaf_signals[x]) for x in support})
+            depth = 1 + max(o[2] for o in ops)
+            result = self.make_lut(local, _unique([o[0] for o in ops]), depth)
+        elif cand.kind == "alias":
+            result = self.signal(cand.operands[0])
+        elif cand.kind in ("and", "or", "xnor", "mux"):
+            ops = [self.signal(s) for s in cand.operands]
+            mgr = self.net.mgr
+            lits = [lit_of(o) for o in ops]
+            if cand.kind == "and":
+                func = mgr.apply_and(lits[0], lits[1])
+            elif cand.kind == "or":
+                func = mgr.apply_or(lits[0], lits[1])
+            elif cand.kind == "xnor":
+                func = mgr.apply_xnor(lits[0], lits[1])
+            else:
+                func = mgr.ite(lits[0], lits[1], lits[2])
+            fanins = _unique([o[0] for o in ops])
+            depth = 1 + max(o[2] for o in ops)
+            result = self.make_lut(func, fanins, depth)
+        else:
+            assert cand.kind == "linear"
+            boxes = []
+            for gate in cand.gates:
+                ops = [self.signal(s) for s in gate.ops]
+                boxes.append(Box(max(o[2] for o in ops), gate.size, ops))
+            depth, out_bin, created = pack_or_gates(boxes, synth.config.k)
+            bin_signals: Dict[int, _Signal] = {}
+            mgr = self.net.mgr
+            for bin_ in created:
+                func = mgr.ZERO
+                fanins: List[str] = []
+                for box in bin_.items:
+                    if isinstance(box.payload, PackedBin):
+                        child = bin_signals[id(box.payload)]
+                        term = lit_of(child)
+                        fanins.append(child[0])
+                    else:
+                        ops = box.payload
+                        term = mgr.ONE
+                        for o in ops:
+                            term = mgr.apply_and(term, lit_of(o))
+                        fanins.extend(o[0] for o in ops)
+                    func = mgr.apply_or(func, term)
+                made = self.make_lut(func, _unique(fanins), bin_.depth + 1)
+                bin_signals[id(bin_)] = made
+            result = bin_signals[id(out_bin)]
+            assert result[2] <= depth
+        self.emitted[state] = result
+        if func_key not in by_function or result[2] < by_function[func_key][2]:
+            by_function[func_key] = result
+        return result
 
 
 def _unique(items: List[str]) -> List[str]:

@@ -24,7 +24,7 @@ mapping depth, so :func:`candidates_for_cut` returns them instead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.bdd.leveled import LeveledBDD
 

@@ -19,8 +19,6 @@ the pass iterates to a fixed point.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.network.depth import depth_map, topological_order
 from repro.network.netlist import BooleanNetwork
 from repro.network.transform import merge_duplicates, remove_dangling

@@ -167,15 +167,16 @@ def _rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _bdd_counters(state: FlowState) -> Dict[str, int]:
-    """Summed ``cache_stats()`` over the distinct managers in the state."""
+def _bdd_counters(state: FlowState, gauges: bool) -> Dict[str, int]:
+    """Summed ``cache_stats(gauges)`` over the distinct managers in the
+    state."""
     totals: Dict[str, int] = {}
     seen = set()
     for net in (state.work, state.mapped):
         if net is None or id(net.mgr) in seen:
             continue
         seen.add(id(net.mgr))
-        for key, value in net.mgr.cache_stats().items():
+        for key, value in net.mgr.cache_stats(gauges).items():
             totals[key] = totals.get(key, 0) + value
     return totals
 
@@ -197,12 +198,14 @@ def run_stages(state: FlowState, names: Optional[Sequence[str]] = None) -> FlowS
     :class:`~repro.runtime.stats.PassTelemetry` row per stage lands on
     ``state.stats``: ``seconds`` times the body, ``verify_seconds`` the
     audit, plus RSS growth and the BDD-manager counter deltas
-    (``cache_stats()``) summed over the managers live in the state.
+    (``cache_stats()``) summed over the managers live in the state.  The
+    store gauges ``unique_saved`` (a walk over every store row) and
+    ``store_bytes`` are read once per stage, after it.
     """
     for name in stage_names(state.config) if names is None else names:
         body, audit = STAGES[name]
         rss0 = _rss_kb()
-        bdd0 = _bdd_counters(state)
+        bdd0 = _bdd_counters(state, gauges=False)
         failures0 = len(state.stats.failures)
         t0 = time.perf_counter()
         body(state)
@@ -211,7 +214,7 @@ def run_stages(state: FlowState, names: Optional[Sequence[str]] = None) -> FlowS
         if audit is not None:
             audit(state)
         verify_seconds = time.perf_counter() - t1
-        bdd1 = _bdd_counters(state)
+        bdd1 = _bdd_counters(state, gauges=True)
         rss1 = _rss_kb()
         state.stats.note_pass(
             PassTelemetry(

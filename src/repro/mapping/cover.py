@@ -10,7 +10,7 @@ the driver is a primary input.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.aig.aig import AIG, lit_compl, lit_var
 from repro.mapping.cuts import Cut

@@ -13,7 +13,7 @@ the phase-1 depth while shedding area — the DAOmap/ABC recipe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.aig.aig import AIG, lit_var

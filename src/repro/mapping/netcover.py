@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import fsum
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional
 
+from repro.bdd.ops import translate
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork
 
@@ -127,66 +128,53 @@ def cover_network(
     for pi in net.pis:
         out.add_pi(pi)
     emitted: Dict[str, str] = {pi: pi for pi in net.pis}
-
-    def cone_function(root: str, leaves: FrozenSet[str]) -> Tuple[int, List[str]]:
-        """Function of the cone from ``root`` down to ``leaves``, as a
-        BDD in ``out``'s manager over the emitted leaf signals."""
-        mgr = out.mgr
-        cache: Dict[str, int] = {}
-
-        def func_of(sig: str) -> int:
-            if sig in leaves or sig in net.pis:
-                return mgr.var(out.var_of(emitted_name(sig)))
-            got = cache.get(sig)
-            if got is not None:
-                return got
-            node = net.nodes[sig]
-            local: Dict[int, int] = {}
-            by_var = {net.var_of(f): func_of(f) for f in node.fanins}
-
-            def walk(n: int) -> int:
-                if n == net.mgr.ZERO:
-                    return mgr.ZERO
-                if n == net.mgr.ONE:
-                    return mgr.ONE
-                hit = local.get(n)
-                if hit is not None:
-                    return hit
-                var, lo, hi = net.mgr.node(n)
-                r = mgr.ite(by_var[var], walk(hi), walk(lo))
-                local[n] = r
-                return r
-
-            result = walk(node.func)
-            cache[sig] = result
-            return result
-
-        func = func_of(root)
-        fanin_names = [emitted_name(x) for x in sorted(leaves)]
-        return func, fanin_names
-
-    def emitted_name(sig: str) -> str:
-        got = emitted.get(sig)
-        if got is None:
-            got = emit(sig)
-        return got
-
-    def emit(sig: str) -> str:
-        cut = chosen[sig]
-        # Sorted: frozenset iteration order is hash-seed-dependent for
-        # strings, and the leaf emission order decides node insertion
-        # order in `out` — which downstream topological passes (dedup,
-        # LUT packing) are sensitive to.  Results must not vary with
-        # PYTHONHASHSEED.
-        for leaf in sorted(cut.leaves):
-            emitted_name(leaf)
-        func, fanins = cone_function(sig, cut.leaves)
-        name = out.fresh_name(f"{sig}_c")
-        out.add_node_function(name, fanins, func)
-        emitted[sig] = name
-        return name
-
     for po, driver in net.pos.items():
-        out.add_po(po, emitted_name(driver))
+        out.add_po(po, _emitted_name(driver, net, chosen, out, emitted))
     out.check()
     return out
+
+
+def _emitted_name(
+    sig: str, net: BooleanNetwork, chosen: Dict[str, _Cut], out: BooleanNetwork,
+    emitted: Dict[str, str],
+) -> str:
+    """Name in ``out`` of signal ``sig``; on first use, emits the LUT of
+    its chosen cut after the LUTs of the cut's leaves."""
+    got = emitted.get(sig)
+    if got is not None:
+        return got
+    cut = chosen[sig]
+    # Sorted: frozenset iteration order is hash-seed-dependent for
+    # strings, and the leaf emission order decides node insertion
+    # order in `out` — which downstream topological passes (dedup,
+    # LUT packing) are sensitive to.  Results must not vary with
+    # PYTHONHASHSEED.
+    leaves = sorted(cut.leaves)
+    for leaf in leaves:
+        _emitted_name(leaf, net, chosen, out, emitted)
+    func = _cone_function(sig, cut.leaves, net, out, emitted, {})
+    name = out.fresh_name(f"{sig}_c")
+    out.add_node_function(name, [emitted[x] for x in leaves], func)
+    emitted[sig] = name
+    return name
+
+
+def _cone_function(
+    sig: str, leaves: FrozenSet[str], net: BooleanNetwork, out: BooleanNetwork,
+    emitted: Dict[str, str], cache: Dict[str, int],
+) -> int:
+    """Function of the cone from ``sig`` down to ``leaves`` (all emitted
+    already), as a BDD in ``out``'s manager over the emitted leaf
+    signals."""
+    if sig in leaves or sig in net.pis:
+        return out.mgr.var(out.var_of(emitted[sig]))
+    got = cache.get(sig)
+    if got is not None:
+        return got
+    node = net.nodes[sig]
+    by_var = {
+        net.var_of(f): _cone_function(f, leaves, net, out, emitted, cache) for f in node.fanins
+    }
+    result = translate(net.mgr, node.func, out.mgr, by_var)
+    cache[sig] = result
+    return result

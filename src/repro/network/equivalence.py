@@ -11,7 +11,7 @@ random-simulation fallback for networks whose global BDDs blow up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bdd.manager import BDDManager, NodeLimitExceeded
 from repro.bdd.ops import translate

@@ -16,7 +16,7 @@ functions enter through :meth:`add_node_from_cover` (BLIF) or
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bdd.manager import BDDManager
 

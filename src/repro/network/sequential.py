@@ -16,7 +16,7 @@ re-assembled after the core has been synthesized/mapped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.network.netlist import BooleanNetwork, NetworkError
 

@@ -10,7 +10,7 @@ test-vector batches cost one traversal per node.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.bdd.manager import BDDManager
 from repro.network.depth import topological_order
@@ -19,23 +19,24 @@ from repro.network.netlist import BooleanNetwork
 
 def eval_bdd_words(mgr: BDDManager, func: int, words: Dict[int, int], mask: int) -> int:
     """Evaluate ``func`` bit-parallel: ``words`` maps variable → word."""
-    memo: Dict[int, int] = {}
+    return _eval_words(mgr, func, words, mask, {})
 
-    def walk(node: int) -> int:
-        if node == mgr.ZERO:
-            return 0
-        if node == mgr.ONE:
-            return mask
-        got = memo.get(node)
-        if got is not None:
-            return got
-        var, lo, hi = mgr.node(node)
-        w = words[var]
-        result = (w & walk(hi)) | (~w & walk(lo) & mask)
-        memo[node] = result
-        return result
 
-    return walk(func)
+def _eval_words(mgr: BDDManager, node: int, words: Dict[int, int], mask: int, memo: Dict[int, int]) -> int:
+    if node == mgr.ZERO:
+        return 0
+    if node == mgr.ONE:
+        return mask
+    got = memo.get(node)
+    if got is not None:
+        return got
+    var, lo, hi = mgr.node(node)
+    w = words[var]
+    result = (w & _eval_words(mgr, hi, words, mask, memo)) | (
+        ~w & _eval_words(mgr, lo, words, mask, memo) & mask
+    )
+    memo[node] = result
+    return result
 
 
 def simulate(net: BooleanNetwork, pi_words: Dict[str, int], num_patterns: int) -> Dict[str, int]:

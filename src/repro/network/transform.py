@@ -13,7 +13,7 @@ equivalence checker.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict
 
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork

@@ -76,21 +76,26 @@ def export_dag(mgr: BDDManager, func: int) -> CanonicalDAG:
     canon_of_var = {v: i for i, v in enumerate(support)}
     ref_of: Dict[int, int] = {mgr.ZERO: 0, mgr.ONE: 1}
     nodes: List[Tuple[int, int, int]] = []
-
-    def walk(n: int) -> int:
-        got = ref_of.get(n)
-        if got is not None:
-            return got
-        var, lo, hi = mgr.node(n)
-        hi_ref = walk(hi)
-        lo_ref = walk(lo)
-        ref = len(nodes) + 2
-        nodes.append((canon_of_var[var], lo_ref, hi_ref))
-        ref_of[n] = ref
-        return ref
-
-    root = walk(func)
+    root = _export_node(mgr, func, canon_of_var, ref_of, nodes)
     return CanonicalDAG(len(support), tuple(nodes), root, tuple(support))
+
+
+def _export_node(
+    mgr: BDDManager, n: int, canon_of_var: Dict[int, int], ref_of: Dict[int, int],
+    nodes: List[Tuple[int, int, int]],
+) -> int:
+    """Reference of ``n`` in the DAG :func:`export_dag` is building,
+    appending its node (after its hi, then lo, subgraph) on first visit."""
+    got = ref_of.get(n)
+    if got is not None:
+        return got
+    var, lo, hi = mgr.node(n)
+    hi_ref = _export_node(mgr, hi, canon_of_var, ref_of, nodes)
+    lo_ref = _export_node(mgr, lo, canon_of_var, ref_of, nodes)
+    ref = len(nodes) + 2
+    nodes.append((canon_of_var[var], lo_ref, hi_ref))
+    ref_of[n] = ref
+    return ref
 
 
 def rebuild_dag(dag: CanonicalDAG) -> Tuple[BDDManager, int]:

@@ -11,7 +11,7 @@ T-VPack recipe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.network.depth import depth_map
 from repro.network.netlist import BooleanNetwork

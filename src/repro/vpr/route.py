@@ -13,7 +13,7 @@ methodology routes at ``1.2 × Wmin``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.vpr.place import Net, Placement

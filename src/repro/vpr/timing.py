@@ -9,8 +9,8 @@ delay, plus connection-block delays) for inter-cluster nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.network.depth import topological_order
 from repro.network.netlist import BooleanNetwork

@@ -1,8 +1,6 @@
 """AIG balancing tests."""
 
-import pytest
-
-from repro.aig.aig import AIG, lit_not, lit_var
+from repro.aig.aig import AIG, lit_not
 from repro.aig.balance import balance
 from repro.aig.from_network import network_to_aig
 from tests.aig.test_aig import eval_aig

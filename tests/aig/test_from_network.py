@@ -3,7 +3,6 @@
 import pytest
 
 from repro.aig.from_network import network_to_aig
-from repro.aig.aig import lit_compl, lit_var
 from repro.network.simulate import exhaustive_patterns, simulate_outputs
 from tests.conftest import random_gate_network
 from tests.aig.test_aig import eval_aig

@@ -1,8 +1,6 @@
 """Tests for the leveled view: Definitions 1–7 and Algorithm 4,
 including the paper's own worked examples (Figs. 1, 4, 5)."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

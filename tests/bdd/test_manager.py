@@ -61,6 +61,25 @@ class TestBasics:
             for i in range(10):
                 f = m.apply_or(f, m.apply_and(m.var(i), m.var((i + 1) % 10)))
 
+    @pytest.mark.parametrize("op", ["apply_and", "apply_xor", "ite", "make_node"])
+    def test_every_node_creator_enforces_the_limit(self, op):
+        m = BDDManager(3, node_limit=4)  # the terminal row and three literals
+        a, b, c = (m.var(v) for v in range(3))
+        with pytest.raises(NodeLimitExceeded):
+            if op == "ite":
+                m.ite(a, b, c)
+            elif op == "make_node":
+                m.make_node(0, m.ZERO, b)
+            else:
+                getattr(m, op)(a, b)
+        assert m.num_nodes == 4
+
+    def test_node_limit_is_read_only(self):
+        m = BDDManager(2, node_limit=10)
+        assert m.node_limit == 10
+        with pytest.raises(AttributeError):
+            m.node_limit = 20
+
 
 class TestConnectives:
     def test_and_or_xor_tables(self, mgr):

@@ -11,7 +11,7 @@ from repro.benchgen import (
 )
 from repro.benchgen import generators as g
 from repro.network.blif import network_to_blif
-from repro.network.simulate import exhaustive_patterns, random_patterns, simulate_outputs
+from repro.network.simulate import exhaustive_patterns, simulate_outputs
 
 
 class TestDeterminism:

@@ -61,3 +61,32 @@ def test_verify_level2_runs_stage_boundaries():
     assert "po_binding" in stages
     assert "final" in stages
     assert state.verifier.warnings == []
+
+
+def test_stage_rows_match_full_cache_stats_after_each_stage():
+    state = FlowState.initial(build_circuit("count"), DDBDDConfig())
+
+    def snapshot():
+        managers = {id(n.mgr): n.mgr for n in (state.work, state.mapped) if n is not None}
+        totals = {}
+        for mgr in managers.values():
+            for key, value in mgr.cache_stats().items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def delta(before, after, suffix):
+        return sum(max(0, v - before.get(k, 0)) for k, v in after.items() if k.endswith(suffix))
+
+    before = snapshot()
+    for name in stage_names(state.config):
+        run_stages(state, [name])
+        after = snapshot()
+        row = state.stats.passes[-1]
+        assert row.name == name
+        assert row.bdd_unique_saved == after["unique_saved"]
+        assert row.bdd_store_bytes == after["store_bytes"]
+        assert row.bdd_nodes_created == max(0, after["nodes"] - before["nodes"])
+        assert row.bdd_neg_free == max(0, after["neg_free"] - before["neg_free"])
+        assert row.bdd_cache_hits == delta(before, after, "_hits")
+        assert row.bdd_cache_misses == delta(before, after, "_entries")
+        before = after

@@ -58,8 +58,6 @@ class TestEnumeration:
         cuts, _, _ = enumerate_cuts(aig, k=4, cut_limit=6)
         # structural check: walking fanins from node, stopping at cut
         # leaves, never reaches a PI not in the cut
-        import random as _r
-
         for node, clist in list(cuts.items())[:20]:
             for cut in clist[:3]:
                 stack = [node]

@@ -2,8 +2,6 @@
 
 import os
 
-import pytest
-
 from repro.core import ddbdd_synthesize
 from repro.network.blif import read_blif
 from repro.network.sequential import read_sequential_blif

@@ -5,11 +5,7 @@ import pytest
 from repro.core import ddbdd_synthesize
 from repro.network.equivalence import check_equivalence
 from repro.network.netlist import NetworkError
-from repro.network.sequential import (
-    SequentialNetwork,
-    parse_sequential_blif,
-    sequential_to_blif,
-)
+from repro.network.sequential import parse_sequential_blif, sequential_to_blif
 
 COUNTER_BLIF = """
 .model counter2

@@ -1,7 +1,5 @@
 """Bit-parallel simulation tests."""
 
-import random
-
 from repro.network.simulate import (
     eval_bdd_words,
     exhaustive_patterns,

@@ -177,12 +177,21 @@ class TestRetention:
         request = make_request()
         request.net = build_circuit("mux")
         net = weakref.ref(request.net)
-        job = queue.submit(request)
-        job.events.append({"event": "state", "state": "queued"})
-        queue.mark_running(job)
-        queue.mark_finished(job, ok=ok)
-        gc.collect()
-        assert net() is None
+        # The manager holds the memory: it must go with the network, by
+        # reference counting, not at the next cyclic collection.
+        mgr = weakref.ref(request.net.mgr)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            job = queue.submit(request)
+            job.events.append({"event": "state", "state": "queued"})
+            queue.mark_running(job)
+            queue.mark_finished(job, ok=ok)
+            assert net() is None
+            assert mgr() is None
+        finally:
+            if enabled:
+                gc.enable()
         # Snapshots and event replay of the kept job still work.
         snap = queue.jobs[job.id].snapshot(0.0)
         assert snap["state"] == state

@@ -1,7 +1,5 @@
 """CLI smoke tests."""
 
-import pytest
-
 from repro.cli import main
 
 

@@ -8,7 +8,6 @@ from repro.vpr.flow import vpr_flow
 from repro.vpr.pack import pack_network
 from repro.vpr.place import build_nets, place
 from repro.vpr.route import minimum_channel_width, route
-from repro.vpr.timing import analyze_timing
 from tests.conftest import random_gate_network
 
 
