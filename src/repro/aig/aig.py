@@ -106,9 +106,6 @@ class AIG:
         """Total nodes including constant and PIs."""
         return len(self.fanin0)
 
-    def is_pi(self, node: int) -> bool:
-        return node in self._pi_set
-
     @property
     def _pi_set(self):
         cached = getattr(self, "_pi_set_cache", None)

@@ -27,7 +27,7 @@ machinery they share so a rule module only contains rules:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -163,18 +163,18 @@ def qualname_map(tree: ast.Module) -> Dict[ast.AST, str]:
     """Map every function/class def node to its dotted qualname
     (``Class.method``, ``outer.inner``)."""
     out: Dict[ast.AST, str] = {}
-
-    def walk(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                qual = f"{prefix}{child.name}"
-                out[child] = qual
-                walk(child, qual + ".")
-            else:
-                walk(child, prefix)
-
-    walk(tree, "")
+    _qualname_walk(tree, "", out)
     return out
+
+
+def _qualname_walk(node: ast.AST, prefix: str, out: Dict[ast.AST, str]) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{prefix}{child.name}"
+            out[child] = qual
+            _qualname_walk(child, qual + ".", out)
+        else:
+            _qualname_walk(child, prefix, out)
 
 
 def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
@@ -238,27 +238,3 @@ class ImportMap:
         """The resolved dotted target of a call, or ``None``."""
         name = dotted_name(call.func)
         return self.resolve_dotted(name) if name else None
-
-
-@dataclass
-class ModuleSource:
-    """One parsed module plus the lookups every rule needs."""
-
-    path: str
-    source: str
-    tree: ast.Module
-    imports: ImportMap = field(init=False)
-    symbols: Dict[int, str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.imports = ImportMap(self.tree)
-        self.symbols = enclosing_symbols(self.tree)
-
-    def symbol_at(self, line: int) -> str:
-        return self.symbols.get(line, "")
-
-    @staticmethod
-    def load(source: str, path: str) -> "ModuleSource":
-        """Parse ``source`` (raises ``SyntaxError`` for the caller to map
-        to its own code via :func:`parse_module`)."""
-        return ModuleSource(path, source, ast.parse(source, filename=path))

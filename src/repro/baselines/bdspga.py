@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.bdd.leveled import LeveledBDD
 from repro.bdd.manager import BDDManager
+from repro.bdd.ops import translate
 from repro.bdd.reorder import reorder_for_size
 from repro.network.depth import depth_map, network_depth, topological_order
 from repro.network.netlist import BooleanNetwork
@@ -85,6 +86,27 @@ def mffc_collapse(net: BooleanNetwork, size_bound: int, max_passes: int = 50) ->
 # ----------------------------------------------------------------------
 # Heuristic BDD decomposition
 # ----------------------------------------------------------------------
+def _substitute_walk(
+    mgr: BDDManager, n: int, v_node: int, target: int, memo: Dict[int, int]
+) -> int:
+    """``n`` with BDD node ``v_node`` replaced by ``target`` (hi first)."""
+    if n == v_node:
+        return target
+    if mgr.is_terminal(n):
+        return n
+    got = memo.get(n)
+    if got is not None:
+        return got
+    var, lo, hi = mgr.node(n)
+    r = mgr.ite(
+        mgr.var(var),
+        _substitute_walk(mgr, hi, v_node, target, memo),
+        _substitute_walk(mgr, lo, v_node, target, memo),
+    )
+    memo[n] = r
+    return r
+
+
 class _BDSDecomposer:
     """Recursively decomposes one BDD into ≤K-input LUT nodes."""
 
@@ -127,34 +149,16 @@ class _BDSDecomposer:
         """Translate BDD ``f`` into the net manager over leaf signals.
 
         Returns ``(func, fanins, depth_of_inputs)``."""
-        mgr = self.mgr
-        nmgr = self._net.mgr
-        cache: Dict[int, int] = {}
         fanins = []
         max_depth = 0
-        support = mgr.support_ordered(f)
         lit_by_var = {}
-        for v in support:
+        for v in self.mgr.support_ordered(f):
             sig = self._leaves[v]
             lit_by_var[v] = self._lit(sig)
             if sig[0] not in fanins:
                 fanins.append(sig[0])
             max_depth = max(max_depth, sig[2])
-
-        def walk(n: int) -> int:
-            if n == mgr.ZERO:
-                return nmgr.ZERO
-            if n == mgr.ONE:
-                return nmgr.ONE
-            got = cache.get(n)
-            if got is not None:
-                return got
-            var, lo, hi = mgr.node(n)
-            r = nmgr.ite(lit_by_var[var], walk(hi), walk(lo))
-            cache[n] = r
-            return r
-
-        return walk(f), fanins, max_depth
+        return translate(self.mgr, f, self._net.mgr, lit_by_var), fanins, max_depth
 
     def _make_gate(self, func: int, ops: list) -> Tuple[str, bool, int]:
         fanins = []
@@ -169,23 +173,7 @@ class _BDSDecomposer:
     def _substitute(self, f: int, v_node: int, value: bool) -> int:
         """Replace BDD node ``v_node`` inside ``f`` with a terminal."""
         mgr = self.mgr
-        target = mgr.ONE if value else mgr.ZERO
-        cache: Dict[int, int] = {}
-
-        def walk(n: int) -> int:
-            if n == v_node:
-                return target
-            if mgr.is_terminal(n):
-                return n
-            got = cache.get(n)
-            if got is not None:
-                return got
-            var, lo, hi = mgr.node(n)
-            r = mgr.ite(mgr.var(var), walk(hi), walk(lo))
-            cache[n] = r
-            return r
-
-        return walk(f)
+        return _substitute_walk(mgr, f, v_node, mgr.ONE if value else mgr.ZERO, {})
 
     # -- the recursion ---------------------------------------------------
     def _rec(self, f: int) -> Tuple[str, bool, int]:

@@ -153,8 +153,3 @@ def build_circuit(name: str) -> BooleanNetwork:
         return _BUILDERS[name]()
     except KeyError:
         raise KeyError(f"unknown benchmark circuit {name!r}; known: {sorted(_BUILDERS)}")
-
-
-def circuit_family(name: str) -> str:
-    """Family of a named circuit: control / xor / datapath."""
-    return _FAMILY[name]

@@ -117,18 +117,14 @@ class DDBDDConfig:
         *Extension* (the paper's stated future work): after depth is
         final, spend positive slack merging non-critical LUTs to
         recover area.  Off by default.
-    verify:
-        Check each supernode's emitted sub-network against its BDD
-        function during synthesis (cheap; keeps the flow honest).
     verify_level:
         Stage-boundary IR verification (see
         :mod:`repro.analysis.hooks`).  ``0`` (default) disables it;
         ``1`` runs the structural network checkers after sweep, partial
         collapse and PO binding plus the final LUT-cover audit; ``2``
         adds BDD-manager audits, per-supernode network re-checks, the
-        exact per-supernode emission verification (implies ``verify``)
-        and a simulation-based equivalence spot check against the
-        source.  Violations raise
+        exact per-supernode emission verification and a simulation-based
+        equivalence spot check against the source.  Violations raise
         :class:`repro.analysis.diagnostics.VerificationError` with
         stable ``DDxxx`` codes.
     jobs:
@@ -166,13 +162,6 @@ class DDBDDConfig:
         BDD-node ceiling per supernode job, checked against the DP's
         private manager inside the recursion (``None`` = unbounded).
         Same breach handling as ``job_deadline_s``.
-    pool_max_retries:
-        How many times a failed worker-pool chunk is retried (with a
-        respawned pool) before falling back to in-process serial
-        execution.
-    pool_retry_backoff_s:
-        Base of the bounded exponential backoff between pool retries
-        (attempt ``i`` sleeps ``pool_retry_backoff_s * 2**(i-1)``).
     faults:
         Deterministic fault-injection plan (see
         :mod:`repro.resilience.faults` for the grammar), e.g.
@@ -196,7 +185,6 @@ class DDBDDConfig:
     final_packing: bool = True
     timing_aware_reorder: bool = False
     area_recovery: bool = False
-    verify: bool = False
     verify_level: int = 0
     jobs: int = field(default_factory=_default_jobs)
     cache: str = "off"
@@ -205,8 +193,6 @@ class DDBDDConfig:
     fleet_weight: int = 1
     job_deadline_s: Optional[float] = None
     job_node_budget: Optional[int] = None
-    pool_max_retries: int = 2
-    pool_retry_backoff_s: float = 0.05
     faults: Optional[str] = field(default_factory=_default_faults)
 
     def __post_init__(self) -> None:
@@ -228,10 +214,6 @@ class DDBDDConfig:
             raise ValueError("job_deadline_s must be positive (or None)")
         if self.job_node_budget is not None and self.job_node_budget < 1:
             raise ValueError("job_node_budget must be >= 1 (or None)")
-        if self.pool_max_retries < 0:
-            raise ValueError("pool_max_retries must be >= 0")
-        if self.pool_retry_backoff_s < 0:
-            raise ValueError("pool_retry_backoff_s must be >= 0")
         if self.faults is not None:
             if not isinstance(self.faults, str) or not self.faults.strip():
                 raise ValueError("faults must be None or a non-empty fault plan")
@@ -242,7 +224,7 @@ class DDBDDConfig:
     @property
     def verify_emission(self) -> bool:
         """Whether the DP should verify each supernode's emitted cone."""
-        return self.verify or self.verify_level >= 2
+        return self.verify_level >= 2
 
     @property
     def effective_jobs(self) -> int:

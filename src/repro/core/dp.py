@@ -467,7 +467,7 @@ class BDDSynthesizer:
         )
 
     # ------------------------------------------------------------------
-    # Verification (config.verify)
+    # Verification (config.verify_emission: verify_level 2)
     # ------------------------------------------------------------------
     def _verify_emission(
         self,

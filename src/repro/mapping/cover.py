@@ -17,12 +17,6 @@ from repro.mapping.cuts import Cut
 from repro.network.netlist import BooleanNetwork
 
 
-def _node_name(aig: AIG, node: int) -> str:
-    if node in aig._pi_set:
-        return aig.pi_names[aig.pis.index(node)]
-    return f"n{node}"
-
-
 def extract_cover(aig: AIG, chosen: Dict[int, Cut]) -> BooleanNetwork:
     """Build the mapped LUT network from ``chosen`` cuts."""
     net = BooleanNetwork(aig.name + "_mapped")
@@ -31,23 +25,7 @@ def extract_cover(aig: AIG, chosen: Dict[int, Cut]) -> BooleanNetwork:
         net.add_pi(name)
         pi_name[node] = name
 
-    emitted: Dict[int, str] = {}
-
-    def emit(node: int) -> str:
-        """Materialize the LUT of ``node``; returns its signal name."""
-        if node in pi_name:
-            return pi_name[node]
-        got = emitted.get(node)
-        if got is not None:
-            return got
-        cut = chosen[node]
-        leaf_signals = {leaf: emit(leaf) for leaf in cut.leaves}
-        func = _cone_function(aig, net, node, leaf_signals)
-        name = f"n{node}"
-        net.add_node_function(name, list(leaf_signals.values()), func)
-        emitted[node] = name
-        return name
-
+    emitted: Dict[int, str] = dict(pi_name)
     neg_cache: Dict[int, str] = {}
     for po, literal in aig.pos.items():
         node = lit_var(literal)
@@ -58,7 +36,7 @@ def extract_cover(aig: AIG, chosen: Dict[int, Cut]) -> BooleanNetwork:
             net.add_node_function(cname, [], net.mgr.ONE if compl else net.mgr.ZERO)
             net.add_po(po, cname)
             continue
-        sig = emit(node)
+        sig = _emit(aig, chosen, net, emitted, node)
         if compl:
             dup = neg_cache.get(node)
             if dup is None:
@@ -76,29 +54,46 @@ def extract_cover(aig: AIG, chosen: Dict[int, Cut]) -> BooleanNetwork:
     return net
 
 
-def _cone_function(
-    aig: AIG, net: BooleanNetwork, root: int, leaf_signals: Dict[int, str]
+def _emit(
+    aig: AIG, chosen: Dict[int, Cut], net: BooleanNetwork,
+    emitted: Dict[int, str], node: int,
+) -> str:
+    """Materialize the LUT of ``node`` (its cut leaves first); returns
+    its signal name.  ``emitted`` starts out holding the PIs."""
+    got = emitted.get(node)
+    if got is not None:
+        return got
+    leaf_signals = {
+        leaf: _emit(aig, chosen, net, emitted, leaf) for leaf in chosen[node].leaves
+    }
+    func = _cone_node(aig, net, leaf_signals, {}, node)
+    name = f"n{node}"
+    net.add_node_function(name, list(leaf_signals.values()), func)
+    emitted[node] = name
+    return name
+
+
+def _cone_node(
+    aig: AIG, net: BooleanNetwork, leaf_signals: Dict[int, str],
+    memo: Dict[int, int], node: int,
 ) -> int:
-    """BDD (in ``net``'s manager) of the cone from ``root`` to the cut."""
+    """BDD (in ``net``'s manager) of the cone from ``node`` to the cut
+    leaves ``leaf_signals``; fanin0 is built before fanin1."""
     mgr = net.mgr
-    cache: Dict[int, int] = {}
-
-    def node_func(node: int) -> int:
-        if node in leaf_signals:
-            return mgr.var(net.var_of(leaf_signals[node]))
-        if node == 0:
-            return mgr.ZERO
-        got = cache.get(node)
-        if got is not None:
-            return got
-        f0 = lit_func(aig.fanin0[node])
-        f1 = lit_func(aig.fanin1[node])
-        result = mgr.apply_and(f0, f1)
-        cache[node] = result
-        return result
-
-    def lit_func(literal: int) -> int:
-        f = node_func(lit_var(literal))
-        return mgr.negate(f) if lit_compl(literal) else f
-
-    return node_func(root)
+    if node in leaf_signals:
+        return mgr.var(net.var_of(leaf_signals[node]))
+    if node == 0:
+        return mgr.ZERO
+    got = memo.get(node)
+    if got is not None:
+        return got
+    lit0, lit1 = aig.fanin0[node], aig.fanin1[node]
+    f0 = _cone_node(aig, net, leaf_signals, memo, lit_var(lit0))
+    if lit_compl(lit0):
+        f0 = mgr.negate(f0)
+    f1 = _cone_node(aig, net, leaf_signals, memo, lit_var(lit1))
+    if lit_compl(lit1):
+        f1 = mgr.negate(f1)
+    result = mgr.apply_and(f0, f1)
+    memo[node] = result
+    return result

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.bdd.manager import BDDManager, NodeLimitExceeded
-from repro.bdd.ops import minimize_with_dc
+from repro.bdd.ops import minimize_with_dc, translate
 from repro.network.depth import topological_order
 from repro.network.equivalence import global_functions
 from repro.network.netlist import BooleanNetwork
@@ -39,23 +39,8 @@ def simplify_with_odc(
         sig_funcs: Dict[str, int] = {pi: gmgr.var(v) for pi, v in pi_vars.items()}
         for name in topological_order(net):
             node = net.nodes[name]
-            cache: Dict[int, int] = {}
             by_var = {net.var_of(f): sig_funcs[f] for f in node.fanins}
-
-            def walk(n: int) -> int:
-                if n == net.mgr.ZERO:
-                    return gmgr.ZERO
-                if n == net.mgr.ONE:
-                    return gmgr.ONE
-                got = cache.get(n)
-                if got is not None:
-                    return got
-                var, lo, hi = net.mgr.node(n)
-                r = gmgr.ite(by_var[var], walk(hi), walk(lo))
-                cache[n] = r
-                return r
-
-            sig_funcs[name] = walk(node.func)
+            sig_funcs[name] = translate(net.mgr, node.func, gmgr, by_var)
 
         changed = 0
         for name in topological_order(net):
@@ -90,23 +75,8 @@ def _observability_dc(net, gmgr, sig_funcs, pi_vars, name, po_funcs) -> Optional
     start = order.index(name)
     for other in order[start + 1:]:
         node = net.nodes[other]
-        cache: Dict[int, int] = {}
         by_var = {net.var_of(f): flipped[f] for f in node.fanins}
-
-        def walk(n: int) -> int:
-            if n == net.mgr.ZERO:
-                return gmgr.ZERO
-            if n == net.mgr.ONE:
-                return gmgr.ONE
-            got = cache.get(n)
-            if got is not None:
-                return got
-            var, lo, hi = net.mgr.node(n)
-            r = gmgr.ite(by_var[var], walk(hi), walk(lo))
-            cache[n] = r
-            return r
-
-        flipped[other] = walk(node.func)
+        flipped[other] = translate(net.mgr, node.func, gmgr, by_var)
     odc = gmgr.ONE
     for po, driver in net.pos.items():
         agree = gmgr.apply_xnor(sig_funcs[driver], flipped[driver])

@@ -94,9 +94,6 @@ class BooleanNetwork:
             self._var_of[signal] = v
         return v
 
-    def signal_exists(self, signal: str) -> bool:
-        return signal in self.nodes or signal in self._pi_set
-
     @property
     def _pi_set(self) -> Set[str]:
         return set(self.pis)

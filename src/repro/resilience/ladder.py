@@ -46,9 +46,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, VerificationError
 from repro.network.netlist import BooleanNetwork
-from repro.resilience.budget import BudgetExceeded
 from repro.runtime.emission import EmissionRecord, export_emission, verify_record
-from repro.runtime.pool import JobOutcome, SupernodeJob, _execute_job
+from repro.runtime.pool import JobOutcome, SupernodeJob, run_supernode_job_guarded
 from repro.runtime.signature import CanonicalDAG, dag_size, rebuild_dag
 from repro.runtime.stats import FailureReport
 
@@ -190,10 +189,12 @@ def resynthesize(
     start at the clean ``retry`` rung (the caller has disarmed the job's
     faults, so a stall-burned clock gets one honest second chance —
     producing the *identical* record a fault-free run would); node
-    breaches are deterministic and start at ``tighten``.  Every rung
-    runs under a fresh meter of the job's original budget except the
-    terminal ``shannon`` rung, which is linear-time and runs unmetered
-    so the ladder always terminates with a cover.
+    breaches are deterministic and start at ``tighten``.  Every DP rung
+    runs through :func:`~repro.runtime.pool.run_supernode_job_guarded`,
+    so under a fresh meter of the job's original budget; a rung that
+    breaches it yields no record and the ladder moves on.  The terminal
+    ``shannon`` rung is linear-time and runs unmetered, so the ladder
+    always terminates with a cover.
 
     Returns the record plus the :class:`FailureReport` row describing
     the recovery.  Raises :class:`VerificationError` (``DD402``) if even
@@ -207,10 +208,8 @@ def resynthesize(
         if rung == "shannon":
             record = shannon_record(job.dag, job.arrivals, job.polarities, job.k)
         else:
-            attempt_job = degraded_job(job, rung)
-            try:
-                record, _audit = _execute_job(attempt_job, attempt_job.budget.meter())
-            except BudgetExceeded:
+            record = run_supernode_job_guarded(degraded_job(job, rung)).record
+            if record is None:
                 continue
         if verify_record(record, job.dag, job.polarities, job.k):
             report = FailureReport(

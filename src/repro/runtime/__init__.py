@@ -59,7 +59,6 @@ from repro.runtime.emission import (
 from repro.runtime.pool import (
     JobOutcome,
     JobRunner,
-    PoolFailureEvent,
     SupernodeJob,
     run_supernode_job,
     run_supernode_job_guarded,
@@ -102,7 +101,6 @@ __all__ = [
     "verify_record",
     "JobOutcome",
     "JobRunner",
-    "PoolFailureEvent",
     "SupernodeJob",
     "run_supernode_job",
     "run_supernode_job_guarded",

@@ -67,16 +67,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import DDBDDConfig
-from repro.resilience import faults as fault_mod
 from repro.runtime.emission import EmissionRecord, verify_record
-from repro.runtime.pool import (
-    JobOutcome,
-    JobRunner,
-    PoolFailureEvent,
-    SupernodeJob,
-    run_supernode_job_guarded,
-)
-from repro.runtime.stats import RuntimeStats
+from repro.runtime.pool import JobOutcome, JobRunner, SupernodeJob
+from repro.runtime.stats import FailureReport, RuntimeStats
 from repro.runtime.tiers import (
     TIER_MEMORY,
     TIER_SQLITE,
@@ -135,8 +128,8 @@ class FleetRequest:
 
     Created by :meth:`FleetScheduler.register`; carries the request's
     config, stats sink, cache store/telemetry, optional private runner
-    (fault-armed requests), and the per-request pool failure events the
-    engine folds into :class:`~repro.runtime.stats.FailureReport` rows.
+    (fault-armed requests), and the request's pool-recovery
+    :class:`~repro.runtime.stats.FailureReport` rows.
     """
 
     config: DDBDDConfig
@@ -144,7 +137,7 @@ class FleetRequest:
     store: Optional[TieredEmissionCache] = None
     tele: Optional[CacheTelemetry] = None
     runner: Optional[JobRunner] = None
-    events: List[PoolFailureEvent] = field(default_factory=list)
+    events: List[FailureReport] = field(default_factory=list)
 
     @property
     def weight(self) -> int:
@@ -387,11 +380,12 @@ class FleetScheduler:
             leaders = remaining
 
         try:
-            self._compute_leaders(req, leaders, results)
+            for (item, _flight), outcome in zip(leaders, self._compute(req, leaders)):
+                results[item.name] = outcome
         finally:
             # Leases release *after* the records are durably in tier 2
-            # (puts happen inside _compute_leaders) — and also on any
-            # escape, so a dying daemon frees its waiters promptly.
+            # (puts happen inside _compute) — and also on any escape, so
+            # a dying daemon frees its waiters promptly.
             if leases:
                 assert req.store is not None
                 req.store.disk.release_claims(list(leases.items()))
@@ -499,14 +493,7 @@ class FleetScheduler:
                                 break  # sqlite degraded
                     time.sleep(CLAIM_POLL_S)
             if outcome is None:
-                with req.stats.stage("dp"):
-                    outcome = self._compute_single(req, item.job)
-                if outcome.shareable and req.writable:
-                    with req.stats.stage("cache"):
-                        if req.store_put(item.key, outcome.record):
-                            req.stats.cache_puts += 1
-                with self._lock:
-                    self.jobs_computed += 1
+                (outcome,) = self._compute(req, [(item, None)])
             return outcome
         finally:
             if lease is not None:
@@ -540,66 +527,61 @@ class FleetScheduler:
             req.stats.cache_misses += 1
         return record
 
-    def _compute_leaders(
+    def _compute(
         self,
         req: FleetRequest,
-        leaders: List[Tuple[WaveItem, Optional[_Flight]]],
-        results: Dict[str, JobOutcome],
-    ) -> None:
-        """Run every job this request leads and publish its flights.
+        pairs: List[Tuple[WaveItem, Optional[_Flight]]],
+    ) -> List[JobOutcome]:
+        """The one compute step: run ``pairs``' jobs through a
+        :class:`JobRunner`, store and count every outcome, and publish
+        each flight given; outcomes in ``pairs`` order.
 
-        A clean batch runs in-process only when it cannot be split: one
-        job, or a fair-share allowance below two workers (a jobs=1
-        request, or a fleet too busy to spare a second worker).  Every
-        other batch goes to the runner, however small: a DP costs about
-        0.5 ms per canonical DAG node, so even a few hundred nodes
-        outweigh the pool's fork/pickle round trip.
+        A fault-armed request runs on its private runner: exclusive to
+        it, so fair-share admission does not apply, and its unclamped
+        worker count stands so injected worker faults land in real
+        workers.  Every other request runs on the shared runner, capped
+        at its fair-share allowance.  The runner keeps a batch it cannot
+        split (one job, or an allowance below two workers) in-process;
+        every other batch ships, however small: a DP costs about 0.5 ms
+        per canonical DAG node, so even a few hundred nodes outweigh the
+        pool's fork/pickle round trip.
 
         On *any* escape (a worker-pool error that exhausted retries, an
-        injected raise, a KeyboardInterrupt) the unpublished flights are
+        injected raise, a KeyboardInterrupt) the flights are
         fail-published first — followers must never inherit this
         request's death.
         """
-        if not leaders:
-            return
-        batch = [item.job for item, _ in leaders]
+        if not pairs:
+            return []
+        batch = [item.job for item, _ in pairs]
         try:
             with req.stats.stage("dp"):
-                allowance = self.allowance(req)
-                if not fault_mod.is_active() and (len(batch) == 1 or allowance < 2):
-                    outcomes = [run_supernode_job_guarded(job) for job in batch]
-                elif req.runner is not None:
-                    # A private runner (fault-armed request) is exclusive
-                    # to this request: fair-share admission does not
-                    # apply, and its unclamped worker count must stand so
-                    # injected worker faults land in real workers.
-                    outcomes = req.runner.run_batch_outcomes(
-                        batch, events=req.events
-                    )
+                if req.runner is not None:
+                    outcomes = req.runner.run_batch_outcomes(batch, events=req.events)
                 else:
                     outcomes = self._shared_runner().run_batch_outcomes(
-                        batch, max_chunks=allowance, events=req.events
+                        batch, max_chunks=self.allowance(req), events=req.events
                     )
         except BaseException:
-            for item, flight in leaders:
+            for item, flight in pairs:
                 if flight is not None:
                     self._publish(item.key, flight, None)
             raise
-        for (item, flight), outcome in zip(leaders, outcomes):
+        for (item, flight), outcome in zip(pairs, outcomes):
             if outcome.shareable and req.writable and item.key is not None:
                 with req.stats.stage("cache"):
                     if req.store_put(item.key, outcome.record):
                         req.stats.cache_puts += 1
+            with self._lock:
+                self.jobs_computed += 1
             # Breach outcomes go back to the engine's degradation ladder
             # un-published as results but the flight must still release:
             # a ladder output is request-local and never shareable, and
             # neither is a record whose DP-manager audit failed.
-            results[item.name] = outcome
-            with self._lock:
-                self.jobs_computed += 1
             if flight is not None:
                 shareable = outcome if (outcome.shareable and req.shares) else None
                 self._publish(item.key, flight, shareable)
+        return outcomes
 
     def _publish(
         self, key: Optional[str], flight: _Flight, outcome: Optional[JobOutcome]
@@ -633,27 +615,8 @@ class FleetScheduler:
         req.stats.dedup_retries += 1
         with self._lock:
             self.dedup_retries += 1
-        with req.stats.stage("dp"):
-            outcome = self._compute_single(req, item.job)
-        if outcome.shareable and req.writable and item.key is not None:
-            with req.stats.stage("cache"):
-                if req.store_put(item.key, outcome.record):
-                    req.stats.cache_puts += 1
-        with self._lock:
-            self.jobs_computed += 1
+        (outcome,) = self._compute(req, [(item, None)])
         return outcome
-
-    def _compute_single(self, req: FleetRequest, job: SupernodeJob) -> JobOutcome:
-        """Guarded in-process execution with the pool's retry bound
-        (the follower-retry path; never dispatched to workers)."""
-        retries = req.config.pool_max_retries
-        for attempt in range(retries + 1):
-            try:
-                return run_supernode_job_guarded(job)
-            except Exception:
-                if attempt >= retries:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -49,8 +49,8 @@ a breach into a clean :class:`JobOutcome` instead of a traceback.
 (``BrokenProcessPool`` or any executor failure): the pool is respawned
 and failed chunks are retried with bounded exponential backoff, falling
 back to in-process serial execution after ``max_retries`` — results
-stay cell-for-cell identical to a clean run, with each recovery logged
-in :attr:`JobRunner.failure_events`.
+stay cell-for-cell identical to a clean run, with each recovery reported
+as a :class:`~repro.runtime.stats.FailureReport` row.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from repro.resilience import faults as fault_mod
 from repro.resilience.budget import Budget, BudgetExceeded, BudgetMeter
 from repro.runtime.emission import EmissionRecord, export_emission
 from repro.runtime.signature import CanonicalDAG, dag_size, rebuild_dag, signature
+from repro.runtime.stats import FailureReport
 from repro.utils import usable_cpus
 
 
@@ -83,8 +84,8 @@ class SupernodeJob:
     the per-job budget — and deliberately not part of
     :meth:`signature`: they do not change what the DP computes, only
     whether it is allowed to finish.  Neither is ``audit_manager``
-    (``verify_level >= 2``: audit the DP's private manager after
-    emission), which only checks the computation.
+    (``verify_level >= 2``: verify the emitted cone, then audit the DP's
+    private manager), which only checks the computation.
     """
 
     name: str
@@ -96,7 +97,6 @@ class SupernodeJob:
     use_special_decompositions: bool
     reorder_effort: str
     timing_aware_reorder: bool
-    verify_emission: bool
     seq: int = 0
     deadline_s: Optional[float] = None
     node_budget: Optional[int] = None
@@ -121,11 +121,10 @@ class SupernodeJob:
             use_special_decompositions=config.use_special_decompositions,
             reorder_effort=config.reorder_effort,
             timing_aware_reorder=config.timing_aware_reorder,
-            verify_emission=config.verify_emission,
             seq=seq,
             deadline_s=config.job_deadline_s,
             node_budget=config.job_node_budget,
-            audit_manager=config.verify_level >= 2,
+            audit_manager=config.verify_emission,
         )
 
     def signature(self) -> str:
@@ -175,21 +174,6 @@ class JobOutcome:
         return self.record is not None and not errors_of(self.diagnostics)
 
 
-@dataclass(frozen=True)
-class PoolFailureEvent:
-    """One observed worker-pool failure and how it was recovered.
-
-    ``action`` is ``"respawn"`` (pool reset, chunk retried) or
-    ``"serial"`` (retries exhausted, chunk ran in-process).
-    """
-
-    seqs: Tuple[int, ...]
-    names: Tuple[str, ...]
-    error: str
-    attempt: int
-    action: str
-
-
 def _execute_job(
     job: SupernodeJob, meter: Optional[BudgetMeter]
 ) -> Tuple[EmissionRecord, Tuple[Diagnostic, ...]]:
@@ -204,7 +188,7 @@ def _execute_job(
         use_special_decompositions=job.use_special_decompositions,
         reorder_effort=job.reorder_effort,
         timing_aware_reorder=job.timing_aware_reorder,
-        verify=job.verify_emission,
+        verify_level=2 if job.audit_manager else 0,
         jobs=1,
         cache="off",
         faults=None,
@@ -306,8 +290,6 @@ class JobRunner:
         self.workers = min(jobs, usable_cpus()) if clamp else jobs
         self.max_retries = max_retries
         self.backoff_s = backoff_s
-        #: Pool failures observed and recovered, in order.
-        self.failure_events: List[PoolFailureEvent] = []
         self._executor: Optional[ProcessPoolExecutor] = None
         # The fleet shares one runner across concurrent request threads;
         # pool creation/teardown must not race.
@@ -317,20 +299,22 @@ class JobRunner:
         self,
         batch: Sequence[SupernodeJob],
         max_chunks: Optional[int] = None,
-        events: Optional[List[PoolFailureEvent]] = None,
+        events: Optional[List[FailureReport]] = None,
     ) -> List[JobOutcome]:
         """Execute one wavefront's jobs; outcomes in batch order.
 
+        A batch that cannot be split — one worker, one job, or a cap
+        below two chunks — runs in-process and never starts an executor.
         Survives worker death: failed chunks are retried on a respawned
         pool with bounded exponential backoff, then run in-process once
         ``max_retries`` is exhausted.
 
         ``max_chunks`` caps how many pool tasks this batch may occupy at
         once — the fleet's fair-share lever: a request's allowance, not
-        the whole pool, bounds its footprint.  ``events`` additionally
-        receives this call's :class:`PoolFailureEvent` rows (the shared
-        fleet runner serves many requests, so per-call attribution
-        cannot come from the lifetime :attr:`failure_events` list).
+        the whole pool, bounds its footprint.  ``events`` receives one
+        ``kind="pool"`` :class:`FailureReport` row per recovery, with
+        ``rung`` ``"respawn"`` (pool reset, chunks retried) or
+        ``"serial"`` (retries exhausted, chunks ran in-process).
         """
         chunk_cap = self.workers if max_chunks is None else min(self.workers, max_chunks)
         indices = list(range(len(batch)))
@@ -362,29 +346,26 @@ class JobRunner:
                 break
             attempt += 1
             flat = [i for g in failed for i in g]
-            seqs = tuple(batch[i].seq for i in flat)
-            names = tuple(batch[i].name for i in flat)
+            seqs = [batch[i].seq for i in flat]
             # The dead pool is the observed effect of any crash faults on
             # these jobs: disarm them before respawning, so the fresh
             # forks inherit a plan that lets the retry run clean.
             fault_mod.notify_pool_failure(seqs)
             self._reset_pool()
-            if attempt > self.max_retries:
-                event = PoolFailureEvent(
-                    seqs, names, repr(first_error), attempt, "serial"
-                )
-                self.failure_events.append(event)
-                if events is not None:
-                    events.append(event)
+            serial = attempt > self.max_retries
+            if events is not None:
+                events.append(FailureReport(
+                    job=",".join(batch[i].name for i in flat),
+                    seq=min(seqs),
+                    kind="pool",
+                    reason=repr(first_error),
+                    retries=attempt,
+                    rung="serial" if serial else "respawn",
+                ))
+            if serial:
                 for i, outcome in zip(flat, self._run_inline(flat, batch)):
                     results[i] = outcome
                 break
-            event = PoolFailureEvent(
-                seqs, names, repr(first_error), attempt, "respawn"
-            )
-            self.failure_events.append(event)
-            if events is not None:
-                events.append(event)
             time.sleep(self.backoff_s * (2 ** (attempt - 1)))
             pending = failed
         missing = [batch[i].name for i, r in enumerate(results) if r is None]
@@ -400,9 +381,10 @@ class JobRunner:
     def _run_inline(
         self, indices: Sequence[int], batch: Sequence[SupernodeJob]
     ) -> List[JobOutcome]:
-        """Guarded in-process execution with bounded in-place retries
-        (the serial-fallback and one-worker path; transient injected
-        raises are retried here exactly like pool retries would)."""
+        """Guarded in-process execution with bounded in-place retries:
+        every batch that cannot be split, and the serial fallback once
+        pool retries run out (a transient raise is retried here exactly
+        like a pool retry would be)."""
         outcomes: List[JobOutcome] = []
         for i in indices:
             job = batch[i]

@@ -15,7 +15,7 @@ each wavefront is dispatched as a batch to the process-wide
 content-addressed cache first (:mod:`repro.runtime.tiers`), then
 through singleflight dedup against other in-flight requests, and
 only then to a :class:`~repro.runtime.pool.JobRunner` (the fleet's
-shared pool, or a private one for fault-armed runs).  A wave the fleet
+shared pool, or a private one for fault-armed runs).  A wave the runner
 cannot split — one job, or a jobs=1 request — runs in-process.
 Only ``(polarity, depth)`` resolution is tracked in this phase; nothing
 is written to the output network.
@@ -48,7 +48,7 @@ from repro.runtime.emission import EmissionRecord, replay_record
 from repro.runtime.fleet import WaveItem, get_fleet
 from repro.runtime.pool import JobOutcome, JobRunner, SupernodeJob
 from repro.runtime.signature import CanonicalDAG, export_dag
-from repro.runtime.stats import FailureReport, RuntimeStats
+from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import CacheTelemetry
 
 KIND_CONST = "const"
@@ -202,12 +202,7 @@ def wavefront_supernodes(
     with fault_mod.activated(config.faults):
         private_runner: Optional[JobRunner] = None
         if config.faults is not None:
-            private_runner = JobRunner(
-                config.effective_jobs,
-                max_retries=config.pool_max_retries,
-                backoff_s=config.pool_retry_backoff_s,
-                clamp=False,
-            )
+            private_runner = JobRunner(config.effective_jobs, clamp=False)
         try:
             with fleet.register(
                 config, stats, store=store, tele=tele, runner=private_runner
@@ -256,15 +251,7 @@ def wavefront_supernodes(
                             src, lit_neg = classify_node(work, name)[1]  # type: ignore[misc]
                             src_neg, src_depth = vres[src]
                             vres[name] = (src_neg ^ lit_neg, src_depth)
-                for event in req.events:
-                    stats.failures.append(FailureReport(
-                        job=",".join(event.names),
-                        seq=min(event.seqs, default=0),
-                        kind="pool",
-                        reason=event.error,
-                        retries=event.attempt,
-                        rung=event.action,
-                    ))
+                stats.failures.extend(req.events)
         finally:
             if private_runner is not None:
                 private_runner.close()

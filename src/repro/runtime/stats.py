@@ -365,10 +365,6 @@ class RuntimeStats:
         finally:
             self.add_stage(name, time.perf_counter() - t0)
 
-    @property
-    def max_wavefront_width(self) -> int:
-        return max(self.wavefront_widths, default=0)
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot of the whole run (for ``--stats-json``).
 

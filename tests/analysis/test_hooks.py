@@ -34,7 +34,6 @@ def test_verify_level_validation():
     with pytest.raises(ValueError):
         DDBDDConfig(verify_level=3)
     assert DDBDDConfig(verify_level=2).verify_emission
-    assert DDBDDConfig(verify=True).verify_emission
     assert not DDBDDConfig().verify_emission
 
 

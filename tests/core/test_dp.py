@@ -128,7 +128,7 @@ class TestEmission:
         f = m.from_truth_table(bits, list(range(n)))
         if m.is_terminal(f) or len(m.support(f)) < 2:
             pytest.skip("degenerate")
-        net, result, _ = synthesize_to_net(m, f, config=DDBDDConfig(verify=True))
+        net, result, _ = synthesize_to_net(m, f, config=DDBDDConfig(verify_level=2))
         check_function(m, f, net, result)
         assert net.max_fanin() <= 5
 
@@ -212,7 +212,7 @@ def test_property_dp_emission_exact(bits):
     f = m.from_truth_table(bits, list(range(6)))
     if m.is_terminal(f) or len(m.support(f)) < 2:
         return
-    net, result, _ = synthesize_to_net(m, f, config=DDBDDConfig(verify=True))
+    net, result, _ = synthesize_to_net(m, f, config=DDBDDConfig(verify_level=2))
     check_function(m, f, net, result)
 
 

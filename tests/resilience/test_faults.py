@@ -94,10 +94,6 @@ def test_budget_config_validation():
         DDBDDConfig(job_deadline_s=0.0)
     with pytest.raises(ValueError):
         DDBDDConfig(job_node_budget=0)
-    with pytest.raises(ValueError):
-        DDBDDConfig(pool_max_retries=-1)
-    with pytest.raises(ValueError):
-        DDBDDConfig(pool_retry_backoff_s=-0.1)
 
 
 # ----------------------------------------------------------------------

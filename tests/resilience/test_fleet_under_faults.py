@@ -14,7 +14,7 @@ from repro.runtime.fleet import get_fleet, reset_fleet
 from tests.conftest import random_gate_network
 from tests.runtime.helpers import net_dump
 
-import repro.runtime.fleet as fleet_mod
+import repro.runtime.pool as pool_mod
 
 
 def _start_followers(net, tmp_path, n):
@@ -123,7 +123,7 @@ def test_dead_leader_fail_publishes_and_waiters_recover(tmp_path, monkeypatch):
     net = random_gate_network(31, n_pi=10, n_gates=60, n_po=6)
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))
 
-    real_compute = fleet_mod.run_supernode_job_guarded
+    real_compute = pool_mod.run_supernode_job_guarded
 
     def bomb(job):
         if threading.current_thread().name == "doomed-leader":
@@ -140,7 +140,7 @@ def test_dead_leader_fail_publishes_and_waiters_recover(tmp_path, monkeypatch):
             raise RuntimeError("leader died mid-flight")
         return real_compute(job)
 
-    monkeypatch.setattr(fleet_mod, "run_supernode_job_guarded", bomb)
+    monkeypatch.setattr(pool_mod, "run_supernode_job_guarded", bomb)
 
     leader_errors: list = []
 

@@ -69,14 +69,15 @@ def test_pool_crash_respawns_and_matches(tmp_path):
     # equals the unguarded serial run's.
     jobs = _jobs(4)
     expected = [run_supernode_job(job) for job in jobs]
+    events: list = []
     with activated("crash_worker@job=2"):
         with JobRunner(2, clamp=False, backoff_s=0.01) as runner:
-            outcomes = runner.run_batch_outcomes(jobs)
+            outcomes = runner.run_batch_outcomes(jobs, events=events)
     assert [o.record for o in outcomes] == expected
-    events = runner.failure_events
     assert len(events) == 1
-    assert events[0].action == "respawn" and events[0].attempt == 1
-    assert 2 in events[0].seqs
+    assert events[0].kind == "pool"
+    assert events[0].rung == "respawn" and events[0].retries == 1
+    assert "sn1" in events[0].job.split(",")
 
 
 def test_pool_serial_fallback_after_retry_exhaustion(monkeypatch):
@@ -88,13 +89,16 @@ def test_pool_serial_fallback_after_retry_exhaustion(monkeypatch):
     )
     jobs = _jobs(3)
     expected = [run_supernode_job(job) for job in jobs]
+    events: list = []
     with activated("crash_worker@job=1x50"):
         with JobRunner(2, max_retries=1, clamp=False, backoff_s=0.01) as runner:
-            outcomes = runner.run_batch_outcomes(jobs)
+            outcomes = runner.run_batch_outcomes(jobs, events=events)
     assert [o.record for o in outcomes] == expected
-    actions = [e.action for e in runner.failure_events]
+    actions = [e.rung for e in events]
     assert actions[-1] == "serial"
     assert "respawn" in actions[:-1]
+    assert [e.retries for e in events] == list(range(1, len(events) + 1))
+    assert all("sn0" in e.job.split(",") for e in events)
 
 
 # ----------------------------------------------------------------------

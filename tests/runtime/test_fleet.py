@@ -22,6 +22,7 @@ from tests.conftest import random_gate_network
 from tests.runtime.helpers import net_dump
 
 import repro.runtime.fleet as fleet_mod
+import repro.runtime.pool as pool_mod
 
 
 # ----------------------------------------------------------------------
@@ -74,23 +75,25 @@ def test_allowance_splits_workers_by_weight(tmp_path):
 def test_pool_takes_every_splittable_wave(tmp_path, monkeypatch):
     """A multi-job wave ships to the pool however small it is; a
     single-job wave and a jobs=1 request run in-process and never create
-    a pool executor.  The pooled cover equals the serial one."""
+    a pool executor.  The pooled cover equals the serial one.  Only a
+    batch that ships is chunked, so the chunking spy sees exactly the
+    shipped batches."""
     reset_fleet()
     batches: list = []
     executors: list = []
-    real_batch = JobRunner.run_batch_outcomes
+    real_chunk = pool_mod.chunk_jobs
     real_pool = JobRunner._pool
 
-    def spy_batch(self, batch, *args, **kwargs):
+    def spy_chunk(batch, chunks):
         batches.append((len(batch), sum(dag_size(job.dag) for job in batch)))
-        return real_batch(self, batch, *args, **kwargs)
+        return real_chunk(batch, chunks)
 
     def spy_pool(self):
         if self._executor is None:
             executors.append(self)
         return real_pool(self)
 
-    monkeypatch.setattr(JobRunner, "run_batch_outcomes", spy_batch)
+    monkeypatch.setattr(pool_mod, "chunk_jobs", spy_chunk)
     monkeypatch.setattr(JobRunner, "_pool", spy_pool)
     try:
         # 9sym is one single-job wave.
@@ -112,6 +115,35 @@ def test_pool_takes_every_splittable_wave(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# One compute seam
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("jobs,cache", [(1, "off"), (1, "readwrite"), (2, "off")])
+def test_every_computed_job_runs_through_the_runner(tmp_path, monkeypatch, jobs, cache):
+    """Every job the fleet computes, in-process or pooled, goes through
+    ``JobRunner.run_batch_outcomes``: the batches it receives add up to
+    the fleet's ``jobs_computed``."""
+    reset_fleet()
+    sizes: list = []
+    real_batch = JobRunner.run_batch_outcomes
+
+    def spy_batch(self, batch, *args, **kwargs):
+        sizes.append(len(batch))
+        return real_batch(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(JobRunner, "run_batch_outcomes", spy_batch)
+    try:
+        before = get_fleet().snapshot()["jobs_computed"]
+        ddbdd_synthesize(build_circuit("misex1"), DDBDDConfig(
+            jobs=jobs, cache=cache, cache_dir=str(tmp_path), faults=None,
+        ))
+        computed = get_fleet().snapshot()["jobs_computed"] - before
+    finally:
+        reset_fleet()
+    assert computed >= 7
+    assert sum(sizes) == computed
+
+
+# ----------------------------------------------------------------------
 # Acceptance: K concurrent identical requests
 # ----------------------------------------------------------------------
 def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
@@ -126,7 +158,7 @@ def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))
 
     fleet = get_fleet()
-    real_compute = fleet_mod.run_supernode_job_guarded
+    real_compute = pool_mod.run_supernode_job_guarded
 
     def gated(job):
         # Hold each leader's computation until the other K-1 requests
@@ -144,7 +176,7 @@ def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
             time.sleep(0.001)
         return real_compute(job)
 
-    monkeypatch.setattr(fleet_mod, "run_supernode_job_guarded", gated)
+    monkeypatch.setattr(pool_mod, "run_supernode_job_guarded", gated)
 
     before = fleet.snapshot()
     results: list = [None] * K

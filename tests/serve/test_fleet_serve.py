@@ -13,7 +13,7 @@ from repro.serve import ServerConfig
 from repro.serve.protocol import parse_submit
 from tests.serve.helpers import DaemonHarness
 
-import repro.runtime.fleet as fleet_mod
+import repro.runtime.pool as pool_mod
 
 
 def test_concurrent_submits_dedup_and_match(tmp_path, monkeypatch):
@@ -21,7 +21,7 @@ def test_concurrent_submits_dedup_and_match(tmp_path, monkeypatch):
     fleet = get_fleet()
     # Inline compute, gated until the second request hooks onto the
     # flight — makes the dedup overlap deterministic instead of a race.
-    real_compute = fleet_mod.run_supernode_job_guarded
+    real_compute = pool_mod.run_supernode_job_guarded
 
     def gated(job):
         key = job.signature()
@@ -35,7 +35,7 @@ def test_concurrent_submits_dedup_and_match(tmp_path, monkeypatch):
             time.sleep(0.001)
         return real_compute(job)
 
-    monkeypatch.setattr(fleet_mod, "run_supernode_job_guarded", gated)
+    monkeypatch.setattr(pool_mod, "run_supernode_job_guarded", gated)
 
     harness = DaemonHarness(
         ServerConfig(max_workers=2, tenant_concurrency=1)

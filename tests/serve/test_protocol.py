@@ -72,7 +72,7 @@ class TestRejections:
 
     def test_non_allowlisted_config_key(self):
         # A real DDBDDConfig field that is server policy, not client's.
-        exc = submit_error({"benchmark": "mux", "config": {"pool_max_retries": 9}})
+        exc = submit_error({"benchmark": "mux", "config": {"thresh": 9}})
         assert exc.code == "invalid_config"
 
     @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_extensions_composable():
     """All extension knobs on together still honor the contract."""
     net = build_circuit("sct")
     cfg = DDBDDConfig(
-        timing_aware_reorder=True, area_recovery=True, verify=True
+        timing_aware_reorder=True, area_recovery=True, verify_level=2
     )
     result = ddbdd_synthesize(net, cfg)
     assert check_equivalence(net, result.network).equivalent
