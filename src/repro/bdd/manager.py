@@ -114,6 +114,24 @@ class NodeLimitExceeded(BDDError):
     """Raised when a manager grows past its configured node limit."""
 
 
+class _RowBudgetSpent(Exception):
+    """A budgeted :meth:`BDDManager.compose` needed more new rows than
+    its budget; the compose catches it and returns ``None``."""
+
+
+#: The row cap of a manager without a node limit.
+_NO_ROW_CAP = sys.maxsize
+
+
+def _over_cap(limit: Optional[int], row: int) -> Exception:
+    """The error for creating store row ``row`` at or past the row cap:
+    the node limit's own error when ``row`` reaches it, else a spent
+    compose budget."""
+    if limit is not None and row >= limit:
+        return NodeLimitExceeded(f"manager exceeded {limit} nodes")
+    return _RowBudgetSpent()
+
+
 class BDDManager:
     """A complement-edge store of ROBDD nodes with the classical
     operator suite.
@@ -173,6 +191,16 @@ class BDDManager:
         self._size_cache: Dict[int, int] = {}
         self._support_cache: Dict[int, "frozenset[int]"] = {}
         self._node_limit = node_limit
+        # The row count at which creating a row raises: the node limit,
+        # lowered for one budgeted compose.  A one-element list, so the
+        # compiled engines read the current value.
+        self._row_cap: List[int] = [_NO_ROW_CAP if node_limit is None else node_limit]
+        # The unique_saved gauge, kept across reads: a mark per store row
+        # that some row's lo edge reaches complemented, the count of
+        # marks, and how many rows have been scanned.
+        self._saved_marks = bytearray()
+        self._saved_count = 0
+        self._saved_scanned = 0
 
         # Statistics counters (see cache_stats()): cache hits indexed by
         # _H_*, plus the free-negation count.
@@ -293,10 +321,9 @@ class BDDManager:
         row = len(var_col)
         got = self._unique.setdefault(key, row)
         if got == row:
-            limit = self._node_limit
-            if limit is not None and row >= limit:
+            if row >= self._row_cap[0]:
                 del self._unique[key]
-                raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
+                raise _over_cap(self._node_limit, row)
             var_col.append(v)
             self._lo.append(lo)
             self._hi.append(hi)
@@ -387,26 +414,49 @@ class BDDManager:
         commutes with complement, so ``¬f`` resolves from ``f``'s entry
         with one bit flip) — the collapse phase restricts the same
         fanout function on the same variable once per merge probe, and
-        :meth:`compose` calls both polarities back to back.
+        :meth:`compose` fills both values' entries in one walk.
         """
         return _restrict(
             f, self._level_of[v], (v << 1) | (1 if value else 0),
             self._level_of, self._var, self._lo, self._hi, self._mk, self._cofactor_cache,
         )
 
-    def compose(self, f: int, v: int, g: int) -> int:
+    def compose(self, f: int, v: int, g: int, max_new_rows: Optional[int] = None) -> Optional[int]:
         """Substitute function ``g`` for variable ``v`` inside ``f``.
 
         Results are memoized: the collapse phase probes the same
         (fanin, fanout) substitution once per ``mergable`` test and
         again when the merge commits, and re-probes surviving pairs
-        every iteration.
+        every iteration.  Both cofactors of ``f`` come from one walk.
+
+        ``max_new_rows`` budgets the ``ite`` that joins the cofactors:
+        once it would create more store rows than that, the compose
+        stops and returns ``None``.  Every row that ``ite`` creates is
+        reachable from its result, so ``None`` proves the composed BDD
+        has more than ``max_new_rows`` nodes; otherwise the result is
+        the unbudgeted one.  The node limit still raises
+        :class:`NodeLimitExceeded`.
         """
         key = (f << (2 * _SHIFT)) | (v << _SHIFT) | g
         cache = self._compose_cache
         got = cache.get(key)
         if got is None:
-            got = self.ite(g, self.cofactor(f, v, True), self.cofactor(f, v, False))
+            pos, neg = _restrict_both(
+                f, self._level_of[v], v << 1,
+                self._level_of, self._var, self._lo, self._hi, self._mk, self._cofactor_cache,
+            )
+            if max_new_rows is None:
+                got = self.ite(g, pos, neg)
+            else:
+                row_cap = self._row_cap
+                cap = row_cap[0]
+                row_cap[0] = min(cap, len(self._var) + max_new_rows)
+                try:
+                    got = self.ite(g, pos, neg)
+                except _RowBudgetSpent:
+                    return None
+                finally:
+                    row_cap[0] = cap
             if len(cache) >= OP_CACHE_CAP:
                 cache.clear()
             cache[key] = got
@@ -543,6 +593,45 @@ class BDDManager:
                 push(hi[i] ^ p)
         return seen
 
+    def shape_within(
+        self, f: int, max_nodes: Optional[int] = None, max_vars: Optional[int] = None
+    ) -> Optional[Tuple[int, Set[int]]]:
+        """``(count_nodes(f), support(f))`` from one walk that memoizes
+        nothing, or ``None`` as soon as the walk has seen more than
+        ``max_nodes`` handles (terminals included) or more than
+        ``max_vars`` variables.  Every variable tested on a node of a
+        reduced BDD is in its support, so ``None`` means exactly that the
+        size or the support does not fit."""
+        node_cap = _NO_ROW_CAP if max_nodes is None else max_nodes
+        var_cap = _NO_ROW_CAP if max_vars is None else max_vars
+        seen: Set[int] = set()
+        support: Set[int] = set()
+        var = self._var
+        lo = self._lo
+        hi = self._hi
+        seen_add = seen.add
+        stack = [f]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            node = pop()
+            if node in seen:
+                continue
+            seen_add(node)
+            if len(seen) > node_cap:
+                return None
+            if node > 1:
+                i = node >> 1
+                v = var[i]
+                if v not in support:
+                    support.add(v)
+                    if len(support) > var_cap:
+                        return None
+                p = node & 1
+                push(lo[i] ^ p)
+                push(hi[i] ^ p)
+        return len(seen), support
+
     def eval(self, f: int, assignment: "Dict[int, bool] | Sequence[bool]") -> bool:
         """Evaluate ``f`` under ``assignment`` (dict var→bool or sequence)."""
         node = f
@@ -637,7 +726,8 @@ class BDDManager:
         canonicalization avoided storing — and ``store_bytes`` is the
         memory footprint of the three store columns.  Those last two
         gauges are left out when ``gauges`` is false: ``unique_saved``
-        walks every store row, the rest costs O(1).
+        scans the store rows added since the last read (all of them
+        after an in-place level swap), the rest costs O(1).
         """
         hits = self._hits
         stats = {
@@ -653,11 +743,28 @@ class BDDManager:
             "neg_free": self._neg_free,
         }
         if gauges:
-            stats["unique_saved"] = len({lo >> 1 for lo in self._lo if lo & 1})
+            stats["unique_saved"] = self._unique_saved()
             stats["store_bytes"] = (
                 sys.getsizeof(self._var) + sys.getsizeof(self._lo) + sys.getsizeof(self._hi)
             )
         return stats
+
+    def _unique_saved(self) -> int:
+        """The ``unique_saved`` gauge: distinct rows that some row's lo
+        edge reaches complemented.  Rows are only appended, except by
+        :meth:`swap_adjacent_levels`, which resets the scan; so a read
+        scans only the rows added since the last one."""
+        lo_col = self._lo
+        marks = self._saved_marks
+        marks.extend(bytes(len(lo_col) - len(marks)))
+        count = self._saved_count
+        for lo in lo_col[self._saved_scanned:]:
+            if lo & 1 and not marks[lo >> 1]:
+                marks[lo >> 1] = 1
+                count += 1
+        self._saved_count = count
+        self._saved_scanned = len(lo_col)
+        return count
 
     # ------------------------------------------------------------------
     # Transfer between managers
@@ -693,7 +800,7 @@ class BDDManager:
     def swap_adjacent_levels(
         self,
         level: int,
-        nodes: Optional[Iterable[int]] = None,
+        rows: Optional[Iterable[int]] = None,
         record: Optional[List[Tuple[int, int, int, int, int]]] = None,
     ) -> int:
         """Swap the variables at ``level`` and ``level + 1`` in place.
@@ -718,11 +825,14 @@ class BDDManager:
         are dropped.  Intended for single-function managers during
         sifting (:func:`repro.bdd.reorder.sift_inplace`).
 
-        ``nodes``, when given, restricts the rewrite to the rows behind
-        that candidate *handle* set (pass the handles reachable from the
-        function being sifted; dead rows then keep stale structure,
-        which is harmless because no valid operation can re-request
-        their unique-table keys).  Without it, every row is rewritten.
+        ``rows``, when given, restricts the rewrite to those store rows,
+        which must test ``x``; they are rewritten in the order given.
+        Pass the rows of ``x`` reachable from the function being sifted,
+        ascending (:func:`repro.bdd.reorder.sift_inplace` keeps them per
+        variable); dead rows then keep stale structure, which is
+        harmless because no valid operation can re-request their
+        unique-table keys.  Without it, every row testing ``x`` is
+        rewritten.
         """
         x = self._var_at_level[level]
         y = self._var_at_level[level + 1]
@@ -731,15 +841,10 @@ class BDDManager:
         hi_a = self._hi
         unique = self._unique
         mk = self._mk
-        if nodes is None:
-            xs: List[int] = [n for n in range(1, len(var)) if var[n] == x]
-        else:
-            # Filter to x-rows while deduping handle polarities: the
-            # x-level is tiny next to the live set, so materializing and
-            # sorting only it keeps the per-swap cost at one cheap pass.
-            xs = sorted({h >> 1 for h in nodes if h > 1 and var[h >> 1] == x})
+        if rows is None:
+            rows = [n for n in range(1, len(var)) if var[n] == x]
         rewritten = 0
-        for n in xs:
+        for n in rows:
             lo, hi = lo_a[n], hi_a[n]
             lc = lo & 1
             li = lo >> 1
@@ -773,6 +878,9 @@ class BDDManager:
         self._level_of[y] = level
         if rewritten:
             self.clear_caches()
+            # Rewritten lo edges invalidate the unique_saved scan.
+            self._saved_marks = bytearray()
+            self._saved_count = self._saved_scanned = 0
         return rewritten
 
     # ------------------------------------------------------------------
@@ -920,6 +1028,45 @@ def _restrict(
     return got ^ p
 
 
+def _restrict_both(
+    node: int, target_level: int, tag: int, level_of: List[int], var_a: List[int],
+    lo_a: List[int], hi_a: List[int], mk: Callable[[int, int, int], int],
+    cache: Dict[int, int],
+) -> Tuple[int, int]:
+    """Both cofactors ``(f|v=1, f|v=0)`` of ``node`` in one walk, which
+    reads and fills the cache entries of :func:`_restrict`; ``tag`` is
+    ``v << 1``, ``target_level`` the level of ``v``; lo before hi."""
+    if node <= 1:
+        return node, node
+    p = node & 1
+    node ^= p
+    i = node >> 1
+    lvl = level_of[var_a[i]]
+    if lvl > target_level:
+        return node ^ p, node ^ p
+    key = (node << _SHIFT) | tag
+    pos = cache.get(key | 1)
+    neg = cache.get(key)
+    if pos is None or neg is None:
+        if lvl == target_level:
+            pos = hi_a[i]
+            neg = lo_a[i]
+        else:
+            lo_pos, lo_neg = _restrict_both(
+                lo_a[i], target_level, tag, level_of, var_a, lo_a, hi_a, mk, cache
+            )
+            hi_pos, hi_neg = _restrict_both(
+                hi_a[i], target_level, tag, level_of, var_a, lo_a, hi_a, mk, cache
+            )
+            pos = mk(var_a[i], lo_pos, hi_pos)
+            neg = mk(var_a[i], lo_neg, hi_neg)
+        if len(cache) >= OP_CACHE_CAP - 1:
+            cache.clear()
+        cache[key | 1] = pos
+        cache[key] = neg
+    return pos ^ p, neg ^ p
+
+
 def _sat_count(mgr: BDDManager, node: int, num_vars: int, cache: Dict[int, int]) -> Tuple[int, int]:
     """``(count, level)`` of ``node`` for :meth:`BDDManager.sat_count`:
     ``count`` is over the variables below ``level``."""
@@ -998,12 +1145,14 @@ def _build_engines(
     self-recursion binds through a fast cell load instead of a bound
     method.  Every captured container is mutated *in place* by the
     manager (``add_var`` appends to the level maps, ``clear_caches``
-    clears the dicts, level swaps rewrite the columns) and never
-    rebound, so the closures always see current state.  The node limit
-    is captured by value (``node_limit`` is read-only), so no engine
-    refers to the manager itself; ``BDDManager.__del__`` empties the
-    cells of the self-recursive cores, and an engine is valid only
-    while its manager lives.
+    clears the dicts, level swaps rewrite the columns, a budgeted
+    :meth:`~BDDManager.compose` lowers the row cap) and never rebound,
+    so the closures always see current state.  The row cap is read only
+    where a row is created; the node limit is captured by value
+    (``node_limit`` is read-only) to tell a node-limit breach from a
+    spent compose budget.  No engine refers to the manager itself;
+    ``BDDManager.__del__`` empties the cells of the self-recursive
+    cores, and an engine is valid only while its manager lives.
 
     Semantics:
 
@@ -1045,6 +1194,7 @@ def _build_engines(
     hi_append = hi_a.append
     cap = OP_CACHE_CAP
     limit = mgr._node_limit
+    row_cap = mgr._row_cap
     h_unique, h_ite, h_and, h_xor = _H_UNIQUE, _H_ITE, _H_AND, _H_XOR
 
     # ------------------------------------------------------------------
@@ -1130,9 +1280,9 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                if limit is not None and row >= limit:
+                if row >= row_cap[0]:
                     del unique[ukey]
-                    raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
+                    raise _over_cap(limit, row)
                 var_append(v)
                 lo_append(lo)
                 hi_append(hi)
@@ -1239,9 +1389,9 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                if limit is not None and row >= limit:
+                if row >= row_cap[0]:
                     del unique[ukey]
-                    raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
+                    raise _over_cap(limit, row)
                 var_append(v)
                 lo_append(lo)
                 hi_append(hi)
@@ -1435,9 +1585,9 @@ def _build_engines(
             row = len(var_a)
             got = unique_setdefault(ukey, row)
             if got == row:
-                if limit is not None and row >= limit:
+                if row >= row_cap[0]:
                     del unique[ukey]
-                    raise NodeLimitExceeded(f"manager exceeded {limit} nodes")
+                    raise _over_cap(limit, row)
                 var_append(v)
                 lo_append(lo)
                 hi_append(hi)

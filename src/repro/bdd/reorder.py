@@ -43,6 +43,15 @@ def _rebuild(
     return fresh, g
 
 
+def _level_rows(mgr: BDDManager, root: int, level: int) -> List[int]:
+    """The rows at ``level`` reachable from ``root``, ascending: the
+    ``rows`` argument of :meth:`BDDManager.swap_adjacent_levels` for a
+    caller that keeps no live rows of its own."""
+    x = mgr.var_at_level(level)
+    var = mgr._var
+    return sorted({h >> 1 for h in mgr.reachable(root) if h > 1 and var[h >> 1] == x})
+
+
 def reorder_for_size(
     mgr: BDDManager, f: int, effort: str = "sift"
 ) -> Tuple[BDDManager, int, List[int]]:
@@ -84,9 +93,19 @@ def sift_inplace(
     place; returns the final shared node count of ``root``.
 
     Every id reachable from ``root`` keeps its function throughout.
-    ``audit`` cross-checks the incremental live set against a
-    from-scratch traversal on exit (tests enable it; production runs
-    keep the repo's zero-overhead-by-default convention).
+    ``audit`` cross-checks the incremental live set and per-variable
+    rows against a from-scratch traversal on exit (tests enable it;
+    production runs keep the repo's zero-overhead-by-default
+    convention).
+
+    A variable stops moving in a direction once a lower bound shows
+    that no further position can beat the best size so far.  While it
+    moves down from level ``p``, the levels above ``p`` keep their live
+    handles (the set of variables above each of them is fixed), every
+    support variable at ``p`` or below keeps at least one node, and the
+    live terminals stay; moving up is the mirror image.  Size depends
+    only on the position, so the bound skips only positions that cannot
+    be strictly smaller: the order found is the unpruned sift's.
     """
     n = num_support if num_support is not None else mgr.num_vars
     if n <= 1:
@@ -99,9 +118,17 @@ def sift_inplace(
     # and is reborn — children re-pinned — when a swap re-links it.
     lo_a = mgr._lo
     hi_a = mgr._hi
+    var_a = mgr._var
+    vat = mgr._var_at_level
     live = mgr.reachable(root)
     ref: Dict[int, int] = {root: 1}
     ref_get = ref.get
+    # ``rows_of[v]`` maps each row testing v with a live handle to its
+    # number of live polarities (1 or 2); ``width[v]`` sums them, the
+    # live handles at v's level.  A swap gets the rows of its upper
+    # level from here instead of filtering the whole live set.
+    rows_of: List[Dict[int, int]] = [{} for _ in range(mgr.num_vars)]
+    width = [0] * mgr.num_vars
     for node in live:
         if node > 1:
             p = node & 1
@@ -110,37 +137,46 @@ def sift_inplace(
             ref[c] = ref_get(c, 0) + 1
             c = hi_a[i] ^ p
             ref[c] = ref_get(c, 0) + 1
+            v = var_a[i]
+            rows_of[v][i] = rows_of[v].get(i, 0) + 1
+            width[v] += 1
     live_add = live.add
     live_discard = live.discard
     best_size = len(live)
+    terminals = best_size - sum(width)
+    # Support is order-independent, and each support variable keeps at
+    # least one node in every order; a level without nodes counts 0.
+    in_support = [1 if w else 0 for w in width]
+    support_size = sum(in_support)
+    num_levels = len(vat)
     # Sift variables in decreasing occupancy (Rudell's priority).
-    occupancy: Dict[int, int] = {}
-    for node in live:
-        if node > 1:
-            var = mgr.top_var(node)
-            occupancy[var] = occupancy.get(var, 0) + 1
-    priority = sorted(
-        (mgr.var_at_level(l) for l in range(n)),
-        key=lambda v: -occupancy.get(v, 0),
-    )
+    priority = sorted((vat[l] for l in range(n)), key=lambda v: -width[v])
     record: List[Tuple[int, int, int, int, int]] = []
 
     def swap(pos: int) -> int:
+        x = vat[pos]
+        rows_x = rows_of[x]
         record.clear()
-        if not mgr.swap_adjacent_levels(pos, nodes=live, record=record):
+        if not mgr.swap_adjacent_levels(pos, rows=sorted(rows_x), record=record):
             return len(live)
+        rows_y = rows_of[vat[pos]]
         # Apply the edge deltas in two batched passes (all references
         # gained, then all dropped).  Reference counts are additive, and
         # every birth/death transition re-pins/releases its children, so
         # the final live set is independent of the processing order.
         # The record carries *stored* child handles per rewritten row;
         # each live polarity of the row sees the deltas through its own
-        # complement bit.
+        # complement bit.  A rewritten row keeps its live polarities and
+        # now tests the lower variable.
         incs: List[int] = []
         decs: List[int] = []
         ipush = incs.append
         dpush = decs.append
+        moved = 0
         for row, old_lo, old_hi, new_lo, new_hi in record:
+            count = rows_x.pop(row)
+            rows_y[row] = count
+            moved += count
             h = row << 1
             lo_moved = new_lo != old_lo
             hi_moved = new_hi != old_hi
@@ -159,6 +195,8 @@ def sift_inplace(
                 if hi_moved:
                     ipush(new_hi ^ 1)
                     dpush(old_hi ^ 1)
+        width[x] -= moved
+        width[vat[pos]] += moved
         while incs:
             m = incs.pop()
             r = ref_get(m, 0)
@@ -166,8 +204,12 @@ def sift_inplace(
             if r == 0:
                 live_add(m)
                 if m > 1:
-                    ipush(lo_a[m >> 1] ^ (m & 1))
-                    ipush(hi_a[m >> 1] ^ (m & 1))
+                    i = m >> 1
+                    v = var_a[i]
+                    rows_of[v][i] = rows_of[v].get(i, 0) + 1
+                    width[v] += 1
+                    ipush(lo_a[i] ^ (m & 1))
+                    ipush(hi_a[i] ^ (m & 1))
         while decs:
             m = decs.pop()
             r = ref[m] - 1
@@ -175,32 +217,63 @@ def sift_inplace(
             if r == 0:
                 live_discard(m)
                 if m > 1:
-                    dpush(lo_a[m >> 1] ^ (m & 1))
-                    dpush(hi_a[m >> 1] ^ (m & 1))
+                    i = m >> 1
+                    v = var_a[i]
+                    rows = rows_of[v]
+                    if rows[i] == 1:
+                        del rows[i]
+                    else:
+                        rows[i] = 1
+                    width[v] -= 1
+                    dpush(lo_a[i] ^ (m & 1))
+                    dpush(hi_a[i] ^ (m & 1))
         return len(live)
 
     for v in priority:
-        start = mgr.level_of(v)
-        best_pos = start
-        # Move to the bottom of the sifted region...
-        pos = start
-        while pos < n - 1:
+        if not in_support[v]:
+            continue  # no position changes the size, so it stays put
+        pos = mgr.level_of(v)
+        best_pos = pos
+        # Live handles above v, and support variables at v's level or
+        # below: the levels above keep their handles on the way down.
+        above = sum(width[vat[l]] for l in range(pos))
+        support_below = sum(in_support[vat[l]] for l in range(pos, num_levels))
+        # Move toward the bottom of the sifted region...
+        while pos < n - 1 and above + support_below + terminals < best_size:
             size = swap(pos)
+            w = vat[pos]  # passed above v, where it stays
+            above += width[w]
+            support_below -= in_support[w]
             pos += 1
             if size < best_size:
                 best_size, best_pos = size, pos
-        # ...then to the top...
-        while pos > 0:
+        # ...then toward the top, where the levels below keep theirs...
+        below = len(live) - terminals - above - width[v]
+        support_above = support_size - support_below + 1
+        while pos > 0 and below + support_above + terminals < best_size:
             size = swap(pos - 1)
+            w = vat[pos]  # passed below v, where it stays
+            below += width[w]
+            support_above -= in_support[w]
             pos -= 1
             if size < best_size:
                 best_size, best_pos = size, pos
-        # ...and back down to the best position seen.
+        # ...and back to the best position seen.
         while pos < best_pos:
             swap(pos)
             pos += 1
-    if audit and live != mgr.reachable(root):
-        raise AssertionError("incremental live set drifted")
+        while pos > best_pos:
+            swap(pos - 1)
+            pos -= 1
+    if audit:
+        reach = mgr.reachable(root)
+        expect: List[Dict[int, int]] = [{} for _ in rows_of]
+        for h in reach:
+            if h > 1:
+                rows = expect[var_a[h >> 1]]
+                rows[h >> 1] = rows.get(h >> 1, 0) + 1
+        if live != reach or rows_of != expect or width != [sum(r.values()) for r in expect]:
+            raise AssertionError("incremental live set drifted")
     return len(live)
 
 

@@ -20,10 +20,10 @@ merge) is marked and skipped.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bdd.manager import BDDManager
 from repro.core.config import DDBDDConfig
 from repro.network.depth import depth_map
 from repro.network.netlist import BooleanNetwork
@@ -41,48 +41,56 @@ class CollapseStats:
     largest_bdd: int = 0
 
 
-def _merged_shape(mgr: BDDManager, f: int) -> Tuple[int, int]:
-    """``(size, support size)`` of ``f`` from one :meth:`~repro.bdd.
-    manager.BDDManager.reachable` walk: the size counts terminals as
-    ``count_nodes`` does, the support is the set of variables tested at
-    the walk's nonterminal handles."""
-    reach = mgr.reachable(f)
-    var = mgr._var
-    return len(reach), len({var[h >> 1] for h in reach if h > 1})
-
-
 def _mergable(
     net: BooleanNetwork,
     in_name: str,
     out_name: str,
     config: DDBDDConfig,
     shapes: Optional[Dict[int, Tuple[int, int]]] = None,
+    rejects: Optional[Set[Tuple[int, int, int]]] = None,
 ) -> Optional[Tuple[int, int, int]]:
     """Size triple ``(n1, n2, n)`` if the pair may merge, else ``None``.
 
     Mirrors the paper's ``mergable``: merge the two BDD copies, require
-    the merged size below the bound and below ``(n1+n2)·(1+α)``.
-    ``shapes`` memoizes :func:`_merged_shape` per merged handle; one
-    :func:`partial_collapse` call shares it across its iterations, which
-    re-test the same merges.
+    the merged size below the bound and below ``(n1+n2)·(1+α)``, and
+    its support within ``support_bound``.  Only a merged size up to
+    ``T = min(size_bound, ⌈(n1+n2)(1+α)⌉ − 1)`` can pass, so the compose
+    runs on a budget of T new rows and the shape walk stops past T nodes
+    or past ``support_bound`` variables: each stops only where the merge
+    must fail.  ``shapes`` memoizes the merged ``(size, support size)``
+    per merged handle and ``rejects`` the failed merges per ``(out
+    function, in variable, in function)``; one :func:`partial_collapse`
+    call shares both across its iterations, which re-test the same
+    merges.
     """
     mgr = net.mgr
-    n1 = mgr.count_nodes(net.nodes[in_name].func)
-    n2 = mgr.count_nodes(net.nodes[out_name].func)
-    merged = net.merged_function(in_name, out_name)
-    if shapes is None:
-        shapes = {}
-    shape = shapes.get(merged)
-    if shape is None:
-        shape = shapes[merged] = _merged_shape(mgr, merged)
-    n, nsup = shape
-    if n > config.size_bound:
+    f_in = net.nodes[in_name].func
+    f_out = net.nodes[out_name].func
+    probe = (f_out, net.var_of(in_name), f_in)
+    if rejects is not None and probe in rejects:
         return None
-    if not n < (n1 + n2) * (1 + config.alpha):
+    n1 = mgr.count_nodes(f_in)
+    n2 = mgr.count_nodes(f_out)
+    budget = min(config.size_bound, math.ceil((n1 + n2) * (1 + config.alpha)) - 1)
+    merged = net.merged_function(in_name, out_name, max_new_rows=budget)
+    shape = None
+    if merged is not None:
+        if shapes is None:
+            shapes = {}
+        shape = shapes.get(merged)
+        if shape is None:
+            walked = mgr.shape_within(merged, budget, config.support_bound)
+            if walked is not None:
+                shape = shapes[merged] = (walked[0], len(walked[1]))
+    if (
+        shape is None
+        or shape[0] > budget
+        or (config.support_bound is not None and shape[1] > config.support_bound)
+    ):
+        if rejects is not None:
+            rejects.add(probe)
         return None
-    if config.support_bound is not None and nsup > config.support_bound:
-        return None
-    return n1, n2, n
+    return n1, n2, shape[0]
 
 
 def _gain(
@@ -106,6 +114,7 @@ def partial_collapse(net: BooleanNetwork, config: Optional[DDBDDConfig] = None) 
     stats = CollapseStats(nodes_before=len(net.nodes))
     po_drivers = net.po_drivers()
     shapes: Dict[int, Tuple[int, int]] = {}
+    rejects: Set[Tuple[int, int, int]] = set()
 
     for _ in range(config.max_collapse_iterations):
         stats.iterations += 1
@@ -121,7 +130,7 @@ def partial_collapse(net: BooleanNetwork, config: Optional[DDBDDConfig] = None) 
             for in_name in out_node.fanins:
                 if in_name not in net.nodes:
                     continue  # primary input
-                sizes = _mergable(net, in_name, out_name, config, shapes)
+                sizes = _mergable(net, in_name, out_name, config, shapes, rejects)
                 if sizes is None:
                     continue
                 g = _gain(sizes, depths[in_name], dix, fanout_count[in_name], config)

@@ -42,9 +42,13 @@ def lut_pack(net: BooleanNetwork, k: int, max_rounds: int = 40) -> int:
                 if fnode is None:
                     continue
                 merged = net.merged_function(f, name)
-                support = net.mgr.support(merged)
-                if len(support) > k:
+                # One walk that stops past k variables and memoizes
+                # nothing: a per-row support memo would outlive every
+                # probe in the mapped manager.
+                shape = net.mgr.shape_within(merged, max_vars=k)
+                if shape is None:
                     continue
+                support = shape[1]
                 # Depth of this node if the merge is applied now.
                 names_of = [s for s in node.fanins if s != f] + list(fnode.fanins)
                 new_depth = 1 + max(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.bdd.manager import BDDManager
-from repro.bdd.reorder import _rebuild, sift_inplace
+from repro.bdd.reorder import _level_rows, _rebuild, sift_inplace
 
 
 def timing_sift(
@@ -63,16 +63,17 @@ def timing_sift(
         # Walk the variable down with adjacent swaps, tracking size.
         moved_to = pos
         while moved_to < target:
-            live = work_mgr.reachable(work_f)
-            work_mgr.swap_adjacent_levels(moved_to, nodes=live)
+            work_mgr.swap_adjacent_levels(
+                moved_to, rows=_level_rows(work_mgr, work_f, moved_to)
+            )
             moved_to += 1
             if work_mgr.count_nodes(work_f) > budget:
                 # Undo the whole descent: walk back up.
                 while moved_to > pos:
-                    live = work_mgr.reachable(work_f)
-                    work_mgr.swap_adjacent_levels(moved_to
-                                                  - 1, nodes=live)
                     moved_to -= 1
+                    work_mgr.swap_adjacent_levels(
+                        moved_to, rows=_level_rows(work_mgr, work_f, moved_to)
+                    )
                 break
         if moved_to == target:
             floor = target

@@ -287,12 +287,19 @@ class BooleanNetwork:
         out_node.fanins = [f for f in new_fanins if self._var_of.get(f) in support]
         out_node.func = merged
 
-    def merged_function(self, in_name: str, out_name: str) -> int:
+    def merged_function(
+        self, in_name: str, out_name: str, max_new_rows: Optional[int] = None
+    ) -> Optional[int]:
         """The BDD that :meth:`collapse_into` would give ``out_name``
-        (non-mutating; used by the ``mergable`` test of Algorithm 2)."""
+        (non-mutating; used by the ``mergable`` test of Algorithm 2).
+        ``max_new_rows`` is :meth:`~repro.bdd.manager.BDDManager.compose`'s
+        row budget: ``None`` comes back once the merge would create more
+        store rows than that, which proves its BDD has more nodes."""
         in_node = self.nodes[in_name]
         out_node = self.nodes[out_name]
-        return self.mgr.compose(out_node.func, self._var_of[in_name], in_node.func)
+        return self.mgr.compose(
+            out_node.func, self._var_of[in_name], in_node.func, max_new_rows
+        )
 
     def remove_node(self, name: str) -> None:
         """Delete an internal node.  The caller must ensure it is unused."""

@@ -64,7 +64,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.config import DDBDDConfig
 from repro.runtime.emission import EmissionRecord, verify_record
@@ -169,10 +169,6 @@ class FleetRequest:
     def store_get(self, key: str) -> Optional[EmissionRecord]:
         assert self.store is not None
         return self.store.get(key, self.tele)
-
-    def store_put(self, key: str, record: EmissionRecord) -> bool:
-        assert self.store is not None
-        return self.store.put(key, record, self.tele)
 
     def note_claim(self, event: str, n: int = 1) -> None:
         """Bump one cross-daemon claim counter on the run's stats."""
@@ -294,8 +290,9 @@ class FleetScheduler:
         leaders: List[Tuple[WaveItem, Optional[_Flight]]] = []
         followed: List[Tuple[WaveItem, _Flight]] = []
 
+        hits = self._try_cache(req, items)
         for item in items:
-            record = self._try_cache(req, item)
+            record = hits.get(item.name)
             if record is not None:
                 results[item.name] = JobOutcome(record)
                 continue
@@ -335,6 +332,14 @@ class FleetScheduler:
                 if keyed
                 else {}
             )
+            # Late-hit recheck: a foreign daemon may have computed and
+            # released a key between our tier walk (which missed) and
+            # the claim (which won).  One more tier-2 read, over every
+            # key won, keeps duplicate submits compute-once even across
+            # that window.
+            late, _corrupt = req.store.disk.get_many(
+                [key for key in keyed if grants[key][0] == "won"]
+            )
             remaining: List[Tuple[WaveItem, Optional[_Flight]]] = []
             for item, flight in leaders:
                 if item.key is None:
@@ -344,12 +349,7 @@ class FleetScheduler:
                     item.key, ("error", 0, "")
                 )
                 if status == "won":
-                    # Late-hit recheck: a foreign daemon may have
-                    # computed and released this key between our tier
-                    # walk (which missed) and the claim (which won).
-                    # One extra tier-2 read keeps duplicate submits
-                    # compute-once even across that window.
-                    record, _corrupt = req.store.disk.get(item.key)
+                    record = late.get(item.key)
                     if record is not None and req.verify(record, item.job):
                         req.store.disk.release_claims([(item.key, generation)])
                         if req.tele is not None:
@@ -508,24 +508,47 @@ class FleetScheduler:
                 self._publish(item.key, flight, shareable)
 
     # ------------------------------------------------------------------
-    def _try_cache(self, req: FleetRequest, item: WaveItem) -> Optional[EmissionRecord]:
-        """Tier walk + hit re-verification; updates the run's counters."""
-        if item.key is None or req.store is None:
-            return None
-        record: Optional[EmissionRecord] = None
-        if req.readable:
+    def _try_cache(
+        self, req: FleetRequest, items: List[WaveItem]
+    ) -> Dict[str, EmissionRecord]:
+        """Tier walk + hit re-verification for one wave; returns the hits
+        by item name and updates the run's counters.
+
+        The wave's distinct keys go through one batched walk
+        (:meth:`~repro.runtime.tiers.TieredEmissionCache.get_many`).  A
+        key's later copies in the wave take the per-key walk after the
+        first copy was verified, so they see its promotion or its
+        rejection as a walk item by item would.
+        """
+        hits: Dict[str, EmissionRecord] = {}
+        if req.store is None:
+            return hits
+        keyed = [item for item in items if item.key is not None]
+        found: Dict[str, EmissionRecord] = {}
+        if req.readable and keyed:
             with req.stats.stage("cache"):
-                record = req.store_get(item.key)
-                if record is not None and req.config.verify_level >= 1:
-                    if not req.verify(record, item.job):
-                        req.store_invalidate(item.key)
-                        req.stats.cache_rejected += 1
-                        record = None
-        if record is not None:
-            req.stats.cache_hits += 1
-        else:
-            req.stats.cache_misses += 1
-        return record
+                found = req.store.get_many([item.key for item in keyed], req.tele)
+        seen: Set[str] = set()
+        for item in keyed:
+            record: Optional[EmissionRecord] = None
+            if req.readable:
+                with req.stats.stage("cache"):
+                    if item.key in seen:
+                        record = req.store_get(item.key)
+                    else:
+                        seen.add(item.key)
+                        record = found.get(item.key)
+                    if record is not None and req.config.verify_level >= 1:
+                        if not req.verify(record, item.job):
+                            req.store_invalidate(item.key)
+                            req.stats.cache_rejected += 1
+                            record = None
+            if record is not None:
+                req.stats.cache_hits += 1
+                hits[item.name] = record
+            else:
+                req.stats.cache_misses += 1
+        return hits
 
     def _compute(
         self,
@@ -533,8 +556,9 @@ class FleetScheduler:
         pairs: List[Tuple[WaveItem, Optional[_Flight]]],
     ) -> List[JobOutcome]:
         """The one compute step: run ``pairs``' jobs through a
-        :class:`JobRunner`, store and count every outcome, and publish
-        each flight given; outcomes in ``pairs`` order.
+        :class:`JobRunner`, store the shareable records in one batch,
+        count every outcome, and publish each flight given; outcomes in
+        ``pairs`` order.
 
         A fault-armed request runs on its private runner: exclusive to
         it, so fair-share admission does not apply, and its unclamped
@@ -567,11 +591,18 @@ class FleetScheduler:
                 if flight is not None:
                     self._publish(item.key, flight, None)
             raise
+        # One tier-2 transaction stores the batch before any flight
+        # publishes (and before run_wave releases the leases).
+        shared = [
+            (item.key, outcome.record)
+            for (item, _flight), outcome in zip(pairs, outcomes)
+            if outcome.shareable and req.writable and item.key is not None
+        ]
+        if shared:
+            assert req.store is not None
+            with req.stats.stage("cache"):
+                req.stats.cache_puts += req.store.put_many(shared, req.tele)
         for (item, flight), outcome in zip(pairs, outcomes):
-            if outcome.shareable and req.writable and item.key is not None:
-                with req.stats.stage("cache"):
-                    if req.store_put(item.key, outcome.record):
-                        req.stats.cache_puts += 1
             with self._lock:
                 self.jobs_computed += 1
             # Breach outcomes go back to the engine's degradation ladder

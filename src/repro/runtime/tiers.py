@@ -16,11 +16,16 @@ of tiers behind one interface:
 
 :meth:`TieredEmissionCache.get` walks memory → sqlite and promotes a
 sqlite hit into memory; :meth:`TieredEmissionCache.put` writes sqlite
-first (the durable copy), then memory.  Per-tier
-hit/miss/put/eviction/corruption/promotion counters are recorded both
-on the tiers themselves (process-lifetime, for ``/metrics``) and into
-an optional per-run :class:`CacheTelemetry`, which the engine folds
-into :class:`~repro.runtime.stats.RuntimeStats.cache_tiers`.
+first (the durable copy), then memory.  Their batch forms
+:meth:`~TieredEmissionCache.get_many` and
+:meth:`~TieredEmissionCache.put_many` do the same for a whole wave over
+one sqlite connection (one ``SELECT … IN`` read, one write
+transaction); the fleet uses those, and the single-key calls are
+batches of one.  Per-tier hit/miss/put/eviction/corruption/promotion
+counters are recorded both on the tiers themselves (process-lifetime,
+for ``/metrics``) and into an optional per-run :class:`CacheTelemetry`,
+which the engine folds into
+:class:`~repro.runtime.stats.RuntimeStats.cache_tiers`.
 
 The tier-2 store also carries the **cross-daemon singleflight claim
 table**: transactional claim-or-wait rows with generation-stamped
@@ -44,7 +49,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import faults as fault_mod
 from repro.runtime.emission import EmissionRecord, RecordError
@@ -76,6 +81,10 @@ _EVICT_EVERY = 64
 #: How long a sqlite operation waits on another process's write lock
 #: before giving up (degrading to a miss / dropped put).
 _BUSY_TIMEOUT_MS = 5000
+
+#: Keys per ``IN (…)`` list of a batched statement: older sqlite
+#: builds allow 999 parameters per statement.
+_KEYS_PER_STATEMENT = 500
 
 #: Pause between attempts at a new file's one-time setup
 #: (:meth:`SqliteTier._setup`).
@@ -118,6 +127,14 @@ def _is_damage(exc: sqlite3.Error) -> bool:
 def _is_lock(exc: sqlite3.Error) -> bool:
     """Whether ``exc`` reports a lock another connection holds."""
     return _reports(exc, _LOCK_CODES, _LOCK_MESSAGES)
+
+
+def _key_chunks(keys: List[str]) -> Iterator[Tuple[List[str], str]]:
+    """``keys`` in slices of at most :data:`_KEYS_PER_STATEMENT`, each
+    with its ``?, ?, …`` placeholder list."""
+    for start in range(0, len(keys), _KEYS_PER_STATEMENT):
+        chunk = keys[start:start + _KEYS_PER_STATEMENT]
+        yield chunk, ", ".join("?" * len(chunk))
 
 
 class CacheTelemetry:
@@ -212,10 +229,11 @@ class SqliteTier:
     journal), so concurrent writers — including separate daemon
     processes sharing the directory — serialize through sqlite's file
     locks and an interrupted writer can never leave a half-written row.
-    Connections are opened per operation: nothing is shared across
-    ``fork`` and no file descriptor outlives the call.  The WAL journal
-    mode and the tables are set up once per store and database file,
-    not on every connection.
+    Connections are opened per operation, and a batched read or write
+    (:meth:`get_many`, :meth:`put_many`) is one operation: nothing is
+    shared across ``fork`` and no file descriptor outlives the call.
+    The WAL journal mode and the tables are set up once per store and
+    database file, not on every connection.
 
     Reads bump a ``touched`` column so :meth:`evict_to_cap` (amortized,
     every :data:`_EVICT_EVERY` puts) drops the least recently *used*
@@ -318,41 +336,8 @@ class SqliteTier:
     # ------------------------------------------------------------------
     def get(self, key: str) -> Tuple[Optional[EmissionRecord], int]:
         """``(record_or_None, corruptions_observed)`` for one lookup."""
-        with self._lock:
-            conn: Optional[sqlite3.Connection] = None
-            try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    self.misses += 1
-                    return None, 0
-                row = conn.execute(
-                    "SELECT payload FROM records WHERE key = ?", (key,)
-                ).fetchone()
-                if row is None:
-                    self.misses += 1
-                    return None, 0
-                try:
-                    record = EmissionRecord.from_json_obj(json.loads(row[0]))
-                except (ValueError, RecordError):
-                    with conn:
-                        conn.execute("DELETE FROM records WHERE key = ?", (key,))
-                    self.corruptions += 1
-                    self.misses += 1
-                    return None, 1
-                with conn:
-                    conn.execute(
-                        "UPDATE records SET touched = ? WHERE key = ?",
-                        # LRU recency bookkeeping only — never a result.
-                        (time.time(), key),  # repolint: disable=DD502
-                    )
-                self.hits += 1
-                return record, 0
-            except sqlite3.Error as exc:
-                self.misses += 1
-                return None, self._heal(exc)
-            finally:
-                if conn is not None:
-                    conn.close()
+        found, corrupt = self.get_many([key])
+        return found.get(key), corrupt
 
     def put(self, key: str, record: EmissionRecord) -> Tuple[bool, bool, int]:
         """Store a record; returns ``(stored, torn, evicted)``.
@@ -361,37 +346,115 @@ class SqliteTier:
         committed row was overwritten with garbage after the fact, and
         the next read must detect and heal it.
         """
+        stored, torn, evicted = self.put_many([(key, record)])
+        return stored, torn[0], evicted
+
+    def get_many(self, keys: Sequence[str]) -> Tuple[Dict[str, EmissionRecord], int]:
+        """``({key: record}, corruptions_observed)`` for a batch of
+        lookups over one connection: one ``SELECT … WHERE key IN (…)``,
+        then one transaction that deletes the malformed rows and bumps
+        ``touched`` on the hits.  Each key fares as under :meth:`get`:
+        a malformed payload is deleted, counted and missed while the
+        rest of the batch stands; a damaged file heals and every key
+        misses, as does every key when a lock outlasts the busy timeout.
+        """
+        found: Dict[str, EmissionRecord] = {}
+        wanted = list(dict.fromkeys(keys))
+        if not wanted:
+            return found, 0
+        with self._lock:
+            conn: Optional[sqlite3.Connection] = None
+            try:
+                conn = self._connect(create=False)
+                if conn is None:
+                    self.misses += len(wanted)
+                    return found, 0
+                malformed: List[str] = []
+                for chunk, marks in _key_chunks(wanted):
+                    # One payload at a time: a wave's JSON is never all
+                    # in memory at once.
+                    for key, payload in conn.execute(
+                        f"SELECT key, payload FROM records WHERE key IN ({marks})", chunk
+                    ):
+                        try:
+                            found[key] = EmissionRecord.from_json_obj(json.loads(payload))
+                        except (ValueError, RecordError):
+                            malformed.append(key)
+                if malformed or found:
+                    with conn:
+                        for chunk, marks in _key_chunks(malformed):
+                            conn.execute(f"DELETE FROM records WHERE key IN ({marks})", chunk)
+                        # LRU recency bookkeeping only — never a result.
+                        now = time.time()  # repolint: disable=DD502
+                        for chunk, marks in _key_chunks(list(found)):
+                            conn.execute(
+                                f"UPDATE records SET touched = ? WHERE key IN ({marks})",
+                                [now, *chunk],
+                            )
+            except sqlite3.Error as exc:
+                self.misses += len(wanted)
+                return {}, self._heal(exc)
+            finally:
+                if conn is not None:
+                    conn.close()
+            self.corruptions += len(malformed)
+            self.hits += len(found)
+            self.misses += len(wanted) - len(found)
+            return found, len(malformed)
+
+    def put_many(
+        self, items: Sequence[Tuple[str, EmissionRecord]]
+    ) -> Tuple[bool, List[bool], int]:
+        """Store a batch in one transaction; returns ``(stored, torn,
+        evicted)`` with one ``torn`` flag per item.
+
+        Each record fares as under :meth:`put`: once the batch commits,
+        an injected ``corrupt_shard@put=N`` fault counts one put per
+        record, in order, and tears the N-th; a lock or a damaged file
+        drops the whole batch; eviction counts every record.
+        """
+        if not items:
+            return True, [], 0
         with self._lock:
             conn: Optional[sqlite3.Connection] = None
             try:
                 conn = self._connect(create=True)
                 assert conn is not None
-                payload = json.dumps(record.to_json_obj(), separators=(",", ":"))
+                # LRU recency bookkeeping only — never a result.
+                now = time.time()  # repolint: disable=DD502
                 with conn:
-                    conn.execute(
+                    conn.executemany(
                         "INSERT OR REPLACE INTO records (key, payload, touched) "
                         "VALUES (?, ?, ?)",
-                        # LRU recency bookkeeping only — never a result.
-                        (key, payload, time.time()),  # repolint: disable=DD502
+                        (
+                            (key, json.dumps(record.to_json_obj(), separators=(",", ":")), now)
+                            for key, record in items
+                        ),
                     )
-                torn = False
-                if fault_mod.note_put():
+                torn = [fault_mod.note_put() for _ in items]
+                if any(torn):
+                    # A torn record that a later copy of its key
+                    # replaced in the batch stays replaced.
+                    last = {key: i for i, (key, _record) in enumerate(items)}
                     with conn:
-                        conn.execute(
+                        conn.executemany(
                             "UPDATE records SET payload = ? WHERE key = ?",
-                            ('{"cells": [[', key),
+                            [
+                                ('{"cells": [[', key)
+                                for i, (key, _record) in enumerate(items)
+                                if torn[i] and last[key] == i
+                            ],
                         )
-                    torn = True
             except sqlite3.Error:
-                return False, False, 0
+                return False, [False] * len(items), 0
             finally:
                 if conn is not None:
                     conn.close()
-            self.puts += 1
-            self._puts_since_evict += 1
+            self.puts += len(items)
+            self._puts_since_evict += len(items)
             evicted = 0
             if self._puts_since_evict >= _EVICT_EVERY:
-                self._puts_since_evict = 0
+                self._puts_since_evict %= _EVICT_EVERY
                 evicted = self._evict_locked()
             return True, torn, evicted
 
@@ -674,28 +737,7 @@ class TieredEmissionCache:
         self, key: str, tele: Optional[CacheTelemetry] = None
     ) -> Optional[EmissionRecord]:
         """Walk memory → sqlite; promote a sqlite hit into memory."""
-        record = self.memory.get(key)
-        if record is not None:
-            if tele:
-                tele.note(TIER_MEMORY, "hits")
-            return record
-        if tele:
-            tele.note(TIER_MEMORY, "misses")
-
-        record, corrupt = self.disk.get(key)
-        if tele:
-            tele.note(TIER_SQLITE, "corruptions", corrupt)
-        if record is None:
-            if tele:
-                tele.note(TIER_SQLITE, "misses")
-            return None
-        if tele:
-            tele.note(TIER_SQLITE, "hits")
-            tele.note(TIER_MEMORY, "promotions")
-        evicted = self.memory.put(key, record)
-        if tele:
-            tele.note(TIER_MEMORY, "evictions", evicted)
-        return record
+        return self.get_many([key], tele).get(key)
 
     def put(
         self,
@@ -710,18 +752,71 @@ class TieredEmissionCache:
         and a phantom tier-1 copy would hide the damage from the very
         read that is supposed to detect and heal it.
         """
-        stored, torn, evicted = self.disk.put(key, record)
+        return self.put_many([(key, record)], tele) == 1
+
+    def get_many(
+        self, keys: Sequence[str], tele: Optional[CacheTelemetry] = None
+    ) -> Dict[str, EmissionRecord]:
+        """:meth:`get` for a batch of keys: the memory tier key by key,
+        then its misses in one sqlite read
+        (:meth:`SqliteTier.get_many`), whose hits are promoted into
+        memory.  Returns the hits by key; every counter moves as one
+        :meth:`get` per distinct key would move it, save that the memory
+        tier is walked before any hit is promoted: near its cap, a
+        promotion no longer evicts a later key of the same batch before
+        that key is looked up."""
+        found: Dict[str, EmissionRecord] = {}
+        missed: List[str] = []
+        for key in dict.fromkeys(keys):
+            record = self.memory.get(key)
+            if record is not None:
+                found[key] = record
+            else:
+                missed.append(key)
         if tele:
-            tele.note(TIER_SQLITE, "puts", 1 if stored else 0)
+            tele.note(TIER_MEMORY, "hits", len(found))
+            tele.note(TIER_MEMORY, "misses", len(missed))
+        if not missed:
+            return found
+        disk_found, corrupt = self.disk.get_many(missed)
+        if tele:
+            tele.note(TIER_SQLITE, "corruptions", corrupt)
+            tele.note(TIER_SQLITE, "misses", len(missed) - len(disk_found))
+            tele.note(TIER_SQLITE, "hits", len(disk_found))
+            tele.note(TIER_MEMORY, "promotions", len(disk_found))
+        for key in missed:
+            record = disk_found.get(key)
+            if record is not None:
+                found[key] = record
+                evicted = self.memory.put(key, record)
+                if tele:
+                    tele.note(TIER_MEMORY, "evictions", evicted)
+        return found
+
+    def put_many(
+        self,
+        items: Sequence[Tuple[str, EmissionRecord]],
+        tele: Optional[CacheTelemetry] = None,
+    ) -> int:
+        """:meth:`put` for a batch: sqlite in one transaction
+        (:meth:`SqliteTier.put_many`), then memory for every record that
+        was not torn.  Returns how many records were stored; every
+        counter moves as one :meth:`put` per record would move it."""
+        if not items:
+            return 0
+        stored, torn, evicted = self.disk.put_many(items)
+        if tele:
+            tele.note(TIER_SQLITE, "puts", len(items) if stored else 0)
             tele.note(TIER_SQLITE, "evictions", evicted)
         if not stored:
-            return False
-        if not torn:
-            mem_evicted = self.memory.put(key, record)
-            if tele:
-                tele.note(TIER_MEMORY, "puts")
-                tele.note(TIER_MEMORY, "evictions", mem_evicted)
-        return True
+            return 0
+        for (key, record), was_torn in zip(items, torn):
+            if not was_torn:
+                mem_evicted = self.memory.put(key, record)
+                if tele:
+                    tele.note(TIER_MEMORY, "puts")
+                    tele.note(TIER_MEMORY, "evictions", mem_evicted)
+        return len(items)
 
     def invalidate(self, key: str, tele: Optional[CacheTelemetry] = None) -> None:
         """Drop one entry from every tier (failed hit re-verification)."""

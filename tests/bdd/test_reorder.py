@@ -1,12 +1,14 @@
 """Tests for variable reordering (rebuild, in-place sifting, exact)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
 from repro.bdd.reorder import (
+    _level_rows,
     exhaustive_reorder,
     reorder_for_size,
     sift,
@@ -71,7 +73,7 @@ class TestSwapAdjacent:
                 continue
             table_before = eval_all(m, f, 5)
             level = rng.randrange(4)
-            m.swap_adjacent_levels(level, nodes=m.reachable(f))
+            m.swap_adjacent_levels(level, rows=_level_rows(m, f, level))
             assert eval_all(m, f, 5) == table_before
 
     def test_swap_swaps_order(self):
@@ -84,8 +86,8 @@ class TestSwapAdjacent:
         m = BDDManager(4)
         f = m.apply_and(m.var(0), m.var(1))
         table = eval_all(m, f, 2)
-        m.swap_adjacent_levels(0, nodes=m.reachable(f))
-        m.swap_adjacent_levels(0, nodes=m.reachable(f))
+        m.swap_adjacent_levels(0, rows=_level_rows(m, f, 0))
+        m.swap_adjacent_levels(0, rows=_level_rows(m, f, 0))
         assert m.order == [0, 1, 2, 3]
         assert eval_all(m, f, 2) == table
 
@@ -98,6 +100,107 @@ class TestSiftInplace:
         size = sift_inplace(m, f, num_support=6, audit=True)
         assert size <= 16
         assert eval_all(m, f, 6) == table
+
+    def test_bound_matches_unpruned_sift_on_seeded_functions(self):
+        rng = random.Random(2024)
+        for trial in range(40):
+            num_vars = rng.randint(2, 10)
+            order = rng.sample(range(num_vars), num_vars)
+            if trial % 2:
+                # Random truth table over a subset: the other levels
+                # hold no node.
+                used = sorted(rng.sample(range(num_vars), rng.randint(1, min(num_vars, 7))))
+                spec = ("table", used, [rng.randint(0, 1) for _ in range(1 << len(used))])
+            else:
+                spec = ("sop", random_sop(rng, num_vars))
+            assert_sift_matches_reference(num_vars, order, spec)
+
+
+def random_sop(rng, num_vars):
+    return [
+        [(rng.randrange(num_vars), rng.random() < 0.5) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
+def build_spec(m, spec):
+    if spec[0] == "table":
+        return m.from_truth_table(spec[2], spec[1])
+    f = m.ZERO
+    for cube in spec[1]:
+        term = m.ONE
+        for v, positive in cube:
+            term = m.apply_and(term, m.var(v) if positive else m.nvar(v))
+        f = m.apply_or(f, term)
+    return f
+
+
+def reference_sift_inplace(m, root, num_support=None):
+    """Rudell sifting without the bound: every variable visits every
+    position of the sifted region, each size a full traversal."""
+    n = num_support if num_support is not None else m.num_vars
+    if n <= 1:
+        return len(m.reachable(root))
+    occupancy = Counter(m.top_var(h) for h in m.reachable(root) if h > 1)
+    priority = sorted((m.var_at_level(l) for l in range(n)), key=lambda v: -occupancy[v])
+    best = len(m.reachable(root))
+
+    def swap(pos):
+        m.swap_adjacent_levels(pos, rows=_level_rows(m, root, pos))
+        return len(m.reachable(root))
+
+    for v in priority:
+        pos = best_pos = m.level_of(v)
+        while pos < n - 1:
+            size = swap(pos)
+            pos += 1
+            if size < best:
+                best, best_pos = size, pos
+        while pos > 0:
+            size = swap(pos - 1)
+            pos -= 1
+            if size < best:
+                best, best_pos = size, pos
+        while pos < best_pos:
+            swap(pos)
+            pos += 1
+    return len(m.reachable(root))
+
+
+def assert_sift_matches_reference(num_vars, order, spec):
+    """The bounded sift parks every variable where the unpruned one
+    does, on the whole manager (non-support levels included) and on the
+    support alone at the top, as :func:`sift` runs it."""
+    got = BDDManager(num_vars, order=order)
+    want = BDDManager(num_vars, order=order)
+    f = build_spec(got, spec)
+    g = build_spec(want, spec)
+    table = eval_all(got, f, num_vars)
+    assert sift_inplace(got, f, audit=True) == reference_sift_inplace(want, g)
+    assert got.order == want.order
+    assert eval_all(got, f, num_vars) == table
+    support = got.support_ordered(f)
+    top = support + [v for v in range(num_vars) if v not in support]
+    got = BDDManager(num_vars, order=top)
+    want = BDDManager(num_vars, order=top)
+    f = build_spec(got, spec)
+    g = build_spec(want, spec)
+    size = sift_inplace(got, f, num_support=len(support), audit=True)
+    assert size == reference_sift_inplace(want, g, num_support=len(support))
+    assert got.order == want.order
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.permutations(range(9)),
+    cubes=st.lists(
+        st.lists(st.tuples(st.integers(0, 8), st.booleans()), min_size=1, max_size=3),
+        min_size=1,
+        max_size=7,
+    ),
+)
+def test_property_bounded_sift_is_the_unpruned_sift(order, cubes):
+    assert_sift_matches_reference(9, list(order), ("sop", cubes))
 
 
 class TestExhaustive:

@@ -8,6 +8,7 @@ import json
 import sqlite3
 import threading
 
+from repro.resilience import faults as fault_mod
 from repro.runtime.emission import EmissionCell, EmissionRecord
 from repro.runtime.signature import SIGNATURE_VERSION
 import repro.runtime.tiers as tiers_mod
@@ -281,6 +282,121 @@ def test_telemetry_shape_and_totals():
     assert tele.total("hits") == 3
     payload = json.loads(json.dumps(tele.as_dict()))
     assert payload["sqlite"]["hits"] == 2
+
+
+# ----------------------------------------------------------------------
+# Batched reads and writes (one connection per wave)
+# ----------------------------------------------------------------------
+def _corrupt_payload(tier: SqliteTier, key: str) -> None:
+    conn = sqlite3.connect(tier.path)
+    try:
+        with conn:
+            conn.execute("UPDATE records SET payload = '{ not json' WHERE key = ?", (key,))
+    finally:
+        conn.close()
+
+
+def test_get_many_deletes_a_malformed_row_and_hits_the_rest(tmp_path):
+    tier = SqliteTier(tmp_path)
+    stored, torn, _ = tier.put_many([(_key(i), _record(i)) for i in range(4)])
+    assert stored and torn == [False] * 4
+    _corrupt_payload(tier, _key(2))
+    found, corrupt = tier.get_many([_key(i) for i in range(5)])
+    assert found == {_key(i): _record(i) for i in (0, 1, 3)}
+    assert corrupt == 1 and tier.corruptions == 1
+    assert (tier.hits, tier.misses) == (3, 2)
+    assert tier.keys() == [_key(0), _key(1), _key(3)], "the malformed row is deleted"
+
+
+def test_batches_heal_a_damaged_file(tmp_path):
+    tier = SqliteTier(tmp_path)
+    assert tier.put_many([(_key(i), _record(i)) for i in range(3)])[0]
+    tier.path.write_bytes(b"this is not a sqlite database at all")
+    # A write into a damaged file is dropped, as a single put is...
+    assert tier.put_many([(_key(3), _record(3))]) == (False, [False], 0)
+    # ...and the next read heals it: every key misses, the file goes.
+    found, corrupt = tier.get_many([_key(i) for i in range(4)])
+    assert found == {} and corrupt == 1
+    assert not tier.path.exists(), "damaged db must be unlinked"
+    items = [(_key(i), _record(i)) for i in range(2)]
+    assert tier.put_many(items) == (True, [False, False], 0)
+    assert tier.get_many([_key(0), _key(1)]) == (dict(items), 0)
+
+
+def test_batches_under_a_held_lock_miss_and_drop(tmp_path, monkeypatch):
+    monkeypatch.setattr(tiers_mod, "_BUSY_TIMEOUT_MS", 50)
+    tier = SqliteTier(tmp_path)
+    assert tier.put_many([(_key(1), _record(1)), (_key(2), _record(2))])[0]
+    holder = sqlite3.connect(tier.path, isolation_level=None)
+    try:
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("UPDATE records SET touched = touched")
+        assert tier.get_many([_key(1), _key(2)]) == ({}, 0)
+        assert tier.put_many([(_key(3), _record(3))]) == (False, [False], 0)
+    finally:
+        holder.execute("ROLLBACK")
+        holder.close()
+    assert tier.corruptions == 0
+    assert tier.path.exists(), "a lock must never unlink the shared store"
+    assert tier.keys() == [_key(1), _key(2)]
+
+
+def test_corrupt_shard_tears_the_nth_record_of_a_batch(tmp_path):
+    store = TieredEmissionCache(tmp_path)
+    tele = CacheTelemetry()
+    items = [(_key(i), _record(i)) for i in range(4)]
+    with fault_mod.activated("corrupt_shard@put=3"):
+        assert store.put_many(items, tele) == 4
+    assert tele.tiers["sqlite"]["puts"] == 4
+    # The torn third record skipped the memory tier.
+    assert tele.tiers["memory"]["puts"] == 3
+    assert sorted(store.memory._data) == [_key(0), _key(1), _key(3)]
+    store.memory.clear()
+    found = store.get_many([key for key, _ in items], tele)
+    assert sorted(found) == [_key(0), _key(1), _key(3)]
+    assert tele.tiers["sqlite"]["corruptions"] == 1
+    # Detected and deleted: the slot round-trips again.
+    assert store.put_many([items[2]]) == 1
+    store.memory.clear()
+    assert store.get_many([_key(2)]) == {_key(2): _record(2)}
+
+
+def test_a_torn_record_replaced_later_in_its_batch_stays_replaced(tmp_path):
+    tier = SqliteTier(tmp_path)
+    with fault_mod.activated("corrupt_shard@put=1"):
+        stored, torn, _ = tier.put_many([(_key(1), _record(1)), (_key(1), _record(2))])
+    assert stored and torn == [True, False]
+    assert tier.get(_key(1)) == (_record(2), 0)
+
+
+def test_batches_count_as_key_by_key_calls(tmp_path):
+    def run(batched: bool):
+        store = TieredEmissionCache(tmp_path / str(batched))
+        tele = CacheTelemetry()
+        items = [(_key(i), _record(i)) for i in range(4)]
+        keys = [_key(i) for i in range(6)]
+        if batched:
+            store.put_many(items, tele)
+            store.memory.invalidate(_key(0))
+            store.memory.invalidate(_key(1))
+            _corrupt_payload(store.disk, _key(1))
+            store.get_many(keys, tele)
+        else:
+            for key, record in items:
+                store.put(key, record, tele)
+            store.memory.invalidate(_key(0))
+            store.memory.invalidate(_key(1))
+            _corrupt_payload(store.disk, _key(1))
+            for key in keys:
+                store.get(key, tele)
+        disk, memory = store.disk, store.memory
+        return (
+            tele.as_dict(),
+            (disk.hits, disk.misses, disk.puts, disk.corruptions),
+            (memory.hits, memory.misses, memory.puts, memory.evictions),
+        )
+
+    assert run(True) == run(False)
 
 
 # ----------------------------------------------------------------------
