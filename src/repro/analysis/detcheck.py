@@ -42,11 +42,9 @@ Rules
 ``DD504``
     Fork-unsafety: a function reachable (static call graph) from the
     worker entry points the runtime dispatches — discovered from the
-    ``.submit(...)`` sites in ``repro/runtime/pool.py`` plus the fleet
-    scheduler's inline dispatch of the same entry points in
-    ``repro/runtime/fleet.py`` — rebinds or mutates module-level
-    globals or references a module-level open file handle.  Workers
-    must touch nothing but the job payload.
+    ``.submit(...)`` sites in ``repro/runtime/pool.py`` — rebinds or
+    mutates module-level globals or references a module-level open file
+    handle.  Workers must touch nothing but the job payload.
 
 Soundness limits: the dataflow is best-effort and intra-procedural
 (except the DD504 call graph); calls through variables, ``getattr`` and
@@ -78,7 +76,6 @@ from repro.analysis.astutil import (
 from repro.analysis.purity import (
     ModuleFacts,
     build_call_graph,
-    fleet_dispatch_roots,
     pool_dispatch_roots,
     reachable,
 )
@@ -477,22 +474,17 @@ def _modname(path: Path) -> str:
 def check_fork_safety(
     sources: Dict[str, str],
     pool_path_suffix: str = "repro/runtime/pool.py",
-    fleet_path_suffix: str = "repro/runtime/fleet.py",
     allow: Sequence[str] = FORK_SAFETY_ALLOW,
 ) -> List[Finding]:
     """DD504 findings over a project-wide source map (path -> text).
 
     The worker roots are discovered from the pool module's
-    ``.submit(...)`` sites plus the fleet scheduler's inline dispatch
-    of the same worker entry points
-    (:func:`repro.analysis.purity.fleet_dispatch_roots`); everything
-    statically reachable from them must neither touch module-level
-    globals nor capture open handles.  Returns nothing when the pool
-    module is not in ``sources``.
+    ``.submit(...)`` sites; everything statically reachable from them
+    must neither touch module-level globals nor capture open handles.
+    Returns nothing when the pool module is not in ``sources``.
     """
     modules: Dict[str, ModuleFacts] = {}
     pool_mod: Optional[ModuleFacts] = None
-    fleet_mod: Optional[ModuleFacts] = None
     for path, text in sources.items():
         try:
             facts = ModuleFacts.from_source(text, path, _modname(Path(path)))
@@ -502,14 +494,10 @@ def check_fork_safety(
         normal = path.replace("\\", "/")
         if normal.endswith(pool_path_suffix):
             pool_mod = facts
-        elif normal.endswith(fleet_path_suffix):
-            fleet_mod = facts
     if pool_mod is None:
         return []
     edges, facts_by_fn = build_call_graph(modules)
     roots = pool_dispatch_roots(pool_mod)
-    if fleet_mod is not None:
-        roots |= fleet_dispatch_roots(fleet_mod, set(facts_by_fn))
     findings: List[Finding] = []
     for full in sorted(reachable(edges, roots)):
         f = facts_by_fn.get(full)

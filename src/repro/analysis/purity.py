@@ -300,30 +300,6 @@ def reachable(edges: Dict[str, Set[str]], roots: Iterable[str]) -> Set[str]:
     return seen
 
 
-def fleet_dispatch_roots(fleet_mod: ModuleFacts, index: Set[str]) -> Set[str]:
-    """The worker entry points the fleet scheduler dispatches itself.
-
-    The fleet runs deduplicated supernode jobs either through the pool
-    (whose ``.submit`` sites :func:`pool_dispatch_roots` discovers) or
-    *inline* on the leader thread — small batches below the pool
-    threshold and follower retries after a failed flight.  Both paths
-    execute the same worker code, so both are DD504 roots: every
-    import-resolved call out of the fleet module that lands on a pool
-    worker entry point (``run_supernode_job*``) joins the root set.
-    ``index`` is the project function index of :func:`build_call_graph`
-    (fully-qualified ``module.qualname`` strings).
-    """
-    roots: Set[str] = set()
-    for qual in fleet_mod.functions:
-        for call in fleet_mod.function_facts(qual).calls:
-            resolved = _resolve_call(call, fleet_mod, index)
-            if resolved is not None and resolved.rsplit(".", 1)[-1].startswith(
-                "run_supernode_job"
-            ):
-                roots.add(resolved)
-    return roots
-
-
 def pool_dispatch_roots(pool_mod: ModuleFacts) -> Set[str]:
     """The worker entry points dispatched by the runtime pool module.
 

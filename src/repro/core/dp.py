@@ -42,7 +42,7 @@ from repro.core.linear import (
 )
 from repro.network.netlist import BooleanNetwork
 from repro.resilience.budget import BudgetMeter
-from repro.utils import BoundedMemo, recursion_headroom
+from repro.utils import recursion_headroom
 
 # The DP recursion nests one level per cut level; deep BDDs (by paper
 # bound: <~25 inputs) stay far below this, but synthetic stress tests
@@ -64,6 +64,12 @@ _PRIO_XNOR = KIND_PRIORITY["xnor"]
 _PRIO_MUX = KIND_PRIORITY["mux"]
 _PRIO_LINEAR = KIND_PRIORITY["linear"]
 
+# The plan of every base state of one kind: emission reads a base
+# candidate's kind and never mutates it, so one object serves them all.
+_LITERAL = Candidate("literal", -1)
+_LITFUNC = Candidate("litfunc", -1)
+_LUT = Candidate("lut", -1)
+
 
 @dataclass
 class SupernodeResult:
@@ -76,13 +82,6 @@ class SupernodeResult:
     states_visited: int
     bdd_size: int
     num_inputs: int
-
-
-@dataclass
-class _Best:
-    delay: int
-    luts: int
-    candidate: Candidate
 
 
 class BDDSynthesizer:
@@ -146,21 +145,10 @@ class BDDSynthesizer:
         # explicit in case that changes).
         self.lb = LeveledBDD(self.mgr, self.func)
         self.input_delays = dict(input_delays)
+        # Each state's minimum depth, and the decomposition achieving it.
         self._delay: Dict[State, int] = {}
-        self._plan: Dict[State, _Best] = {}
-        # Hot-path memo: BDD supports are pure functions of the
-        # (immutable) leveled BDD, shared across DP states that
-        # reference the same structure.
-        self._support_memo: BoundedMemo[int, FrozenSet[int]] = BoundedMemo()
+        self._plan: Dict[State, Candidate] = {}
         self._cuts: Dict[Tuple[int, int], List[Tuple[int, bool]]] = {}
-
-    def _support_of(self, func: int) -> FrozenSet[int]:
-        """Memoized ``mgr.support`` (states frequently share functions)."""
-        got = self._support_memo.get(func)
-        if got is None:
-            got = self.mgr.support_frozen(func)
-            self._support_memo[func] = got
-        return got
 
     # ------------------------------------------------------------------
     # Dynamic program
@@ -218,30 +206,30 @@ class BDDSynthesizer:
             # `bestDelay ← inputDelay(V(u))` base case).
             d = self.input_delays[self.lb.var_of(u)]
             self._delay[state] = d
-            self._plan[state] = _Best(d, 0, Candidate("literal", -1))
+            self._plan[state] = _LITERAL
             return d
         # Small-support base case: a sub-BDD depending on at most K
         # variables fits a single LUT, which is simultaneously
         # delay-optimal (every implementation is bounded below by
         # max(input arrival)+1) and area-optimal — no cut can beat it.
         func = self.lb.bs_function(u, l, v)
-        support = self._support_of(func)
+        support = self.mgr.support_frozen(func)
         if len(support) == 1:
             # The sub-BDD collapsed to a bare literal.
             var = next(iter(support))
             d = self.input_delays[var]
             self._delay[state] = d
-            self._plan[state] = _Best(d, 0, Candidate("litfunc", -1))
+            self._plan[state] = _LITFUNC
             return d
         if len(support) <= self.config.k:
             d = 1 + max(self.input_delays[x] for x in support)
             self._delay[state] = d
-            self._plan[state] = _Best(d, 1, Candidate("lut", -1))
+            self._plan[state] = _LUT
             return d
-        best = self._search_cuts(u, l, v)
-        self._delay[state] = best.delay
-        self._plan[state] = best
-        return best.delay
+        d, _luts, cand = self._search_cuts(u, l, v)
+        self._delay[state] = d
+        self._plan[state] = cand
+        return d
 
     def _cuts_of(self, u: int, l: int) -> List[Tuple[int, bool]]:
         """The cuts ``j`` searched for every ``Bs(u, l, ·)``, each with
@@ -265,13 +253,14 @@ class BDDSynthesizer:
             self._cuts[(u, l)] = got
         return got
 
-    def _search_cuts(self, u: int, l: int, v: int) -> _Best:
+    def _search_cuts(self, u: int, l: int, v: int) -> Tuple[int, int, Candidate]:
         # Hot loop.  Each cut is priced from its prepared gate rows and
         # the memoized sub-state delays, without building candidates;
         # the first (delay, LUTs, KIND_PRIORITY) argmin wins, the same
         # choice as a candidate-by-candidate scan (the oracle in
         # tests/core/test_dp.py holds this).  Only the winning cut's
-        # Candidate is built, once, after the search.
+        # Candidate is built, once, after the search.  Returns the
+        # winner's delay, LUT count and Candidate.
         lb = self.lb
         prepared = lb._gate_rows
         best_j = -1
@@ -313,7 +302,7 @@ class BDDSynthesizer:
             lb, u, l, v, best_j,
             use_special=config.use_special_decompositions, k=config.k,
         )
-        return _Best(best_delay, best_luts, cands[best_idx])
+        return best_delay, best_luts, cands[best_idx]
 
     # Cut pricing.  Each helper returns ``(delay, LUTs, priority, index
     # of the winner in candidates_for_cut's list)`` and evaluates
@@ -558,7 +547,7 @@ class _Emission:
         if shared is not None and shared[2] <= synth._delay[state]:
             self.emitted[state] = shared
             return shared
-        cand = synth._plan[state].candidate
+        cand = synth._plan[state]
         result: _Signal
         if cand.kind == "literal":
             u, _, v = state

@@ -64,7 +64,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import DDBDDConfig
 from repro.runtime.emission import EmissionRecord, verify_record
@@ -144,10 +144,6 @@ class FleetRequest:
         return self.config.fleet_weight
 
     @property
-    def readable(self) -> bool:
-        return self.store is not None and self.config.cache in ("read", "readwrite")
-
-    @property
     def writable(self) -> bool:
         return self.store is not None and self.config.cache == "readwrite"
 
@@ -166,17 +162,9 @@ class FleetRequest:
         return self.config.faults is None
 
     # ------------------------------------------------------------------
-    def store_get(self, key: str) -> Optional[EmissionRecord]:
-        assert self.store is not None
-        return self.store.get(key, self.tele)
-
     def note_claim(self, event: str, n: int = 1) -> None:
         """Bump one cross-daemon claim counter on the run's stats."""
         self.stats.claims[event] = self.stats.claims.get(event, 0) + n
-
-    def store_invalidate(self, key: str) -> None:
-        assert self.store is not None
-        self.store.invalidate(key, self.tele)
 
     def verify(self, record: EmissionRecord, job: SupernodeJob) -> bool:
         return verify_record(record, job.dag, job.polarities, self.config.k)
@@ -243,17 +231,9 @@ class FleetScheduler:
     def _release_owned(self, req: FleetRequest) -> None:
         """Fail-publish every unpublished flight ``req`` still owns."""
         with self._lock:
-            orphaned = [
-                (key, fl)
-                for key, fl in list(self._flights.items())
-                if fl.owner is req
-            ]
-            for key, _fl in orphaned:
-                del self._flights[key]
-        for _key, fl in orphaned:
-            fl.outcome = None
-            fl.published = True
-            fl.event.set()
+            for key, flight in list(self._flights.items()):
+                if flight.owner is req:
+                    self._publish(key, flight, None)
 
     def _shared_runner(self) -> JobRunner:
         with self._lock:
@@ -337,9 +317,11 @@ class FleetScheduler:
             # the claim (which won).  One more tier-2 read, over every
             # key won, keeps duplicate submits compute-once even across
             # that window.
-            late, _corrupt = req.store.disk.get_many(
+            late, corrupt = req.store.disk.get_many(
                 [key for key in keyed if grants[key][0] == "won"]
             )
+            if req.tele is not None:
+                req.tele.note(TIER_SQLITE, "corruptions", corrupt)
             remaining: List[Tuple[WaveItem, Optional[_Flight]]] = []
             for item, flight in leaders:
                 if item.key is None:
@@ -352,10 +334,11 @@ class FleetScheduler:
                     record = late.get(item.key)
                     if record is not None and req.verify(record, item.job):
                         req.store.disk.release_claims([(item.key, generation)])
+                        evicted = req.store.memory.put(item.key, record)
                         if req.tele is not None:
                             req.tele.note(TIER_SQLITE, "hits")
                             req.tele.note(TIER_MEMORY, "promotions")
-                        req.store.memory.put(item.key, record)
+                            req.tele.note(TIER_MEMORY, "evictions", evicted)
                         req.note_claim("hits")
                         outcome = JobOutcome(record)
                         results[item.name] = outcome
@@ -365,7 +348,7 @@ class FleetScheduler:
                             )
                         continue
                     if record is not None:
-                        req.store_invalidate(item.key)
+                        req.store.invalidate(item.key)
                         req.stats.cache_rejected += 1
                     req.note_claim("won")
                     leases[item.key] = generation
@@ -441,20 +424,23 @@ class FleetScheduler:
             with req.stats.stage("claim"):
                 ticks = 0
                 while True:
-                    record, _corrupt = store.disk.get(item.key)
+                    record, corrupt = store.disk.get(item.key)
+                    if req.tele is not None:
+                        req.tele.note(TIER_SQLITE, "corruptions", corrupt)
                     if record is not None:
                         # A record that crosses a process boundary is
                         # re-verified regardless of verify_level, like
                         # in-process dedup splices.
                         if req.verify(record, item.job):
+                            evicted = store.memory.put(item.key, record)
                             if req.tele is not None:
                                 req.tele.note(TIER_SQLITE, "hits")
                                 req.tele.note(TIER_MEMORY, "promotions")
-                            store.memory.put(item.key, record)
+                                req.tele.note(TIER_MEMORY, "evictions", evicted)
                             req.note_claim("hits")
                             outcome = JobOutcome(record)
                         else:
-                            req.store_invalidate(item.key)
+                            store.invalidate(item.key)
                             req.stats.cache_rejected += 1
                         break
                     state = store.disk.claim_state(item.key)
@@ -515,34 +501,30 @@ class FleetScheduler:
         by item name and updates the run's counters.
 
         The wave's distinct keys go through one batched walk
-        (:meth:`~repro.runtime.tiers.TieredEmissionCache.get_many`).  A
-        key's later copies in the wave take the per-key walk after the
-        first copy was verified, so they see its promotion or its
-        rejection as a walk item by item would.
+        (:meth:`~repro.runtime.tiers.TieredEmissionCache.get_many`), and
+        at ``verify_level >= 1`` each key's hit is verified once.  A
+        key's later copies in the wave share that verdict: a rejected
+        key is invalidated once and every copy misses.  Copies of a key
+        carry the same job content (the key is its signature), so the
+        verdict holds for each of them.
         """
         hits: Dict[str, EmissionRecord] = {}
-        if req.store is None:
+        jobs = {item.key: item.job for item in items if item.key is not None}
+        if req.store is None or not jobs:
             return hits
-        keyed = [item for item in items if item.key is not None]
-        found: Dict[str, EmissionRecord] = {}
-        if req.readable and keyed:
-            with req.stats.stage("cache"):
-                found = req.store.get_many([item.key for item in keyed], req.tele)
-        seen: Set[str] = set()
-        for item in keyed:
-            record: Optional[EmissionRecord] = None
-            if req.readable:
-                with req.stats.stage("cache"):
-                    if item.key in seen:
-                        record = req.store_get(item.key)
-                    else:
-                        seen.add(item.key)
-                        record = found.get(item.key)
-                    if record is not None and req.config.verify_level >= 1:
-                        if not req.verify(record, item.job):
-                            req.store_invalidate(item.key)
-                            req.stats.cache_rejected += 1
-                            record = None
+        with req.stats.stage("cache"):
+            found = req.store.get_many(list(jobs), req.tele)
+            if req.config.verify_level >= 1:
+                for key, job in jobs.items():
+                    record = found.get(key)
+                    if record is not None and not req.verify(record, job):
+                        req.store.invalidate(key)
+                        req.stats.cache_rejected += 1
+                        del found[key]
+        for item in items:
+            if item.key is None:
+                continue
+            record = found.get(item.key)
             if record is not None:
                 req.stats.cache_hits += 1
                 hits[item.name] = record
@@ -669,13 +651,9 @@ class FleetScheduler:
         (flights are fail-published so nothing can hang)."""
         with self._lock:
             runner, self._runner = self._runner, None
-            flights = list(self._flights.items())
-            self._flights.clear()
+            for key, flight in list(self._flights.items()):
+                self._publish(key, flight, None)
             self._stores.clear()
-        for _key, fl in flights:
-            fl.outcome = None
-            fl.published = True
-            fl.event.set()
         if runner is not None:
             runner.close()
 

@@ -5,10 +5,9 @@ synthesis requests from one process, so the emission cache is a stack
 of tiers behind one interface:
 
 * **Tier 1 — memory** (:class:`MemoryTier`): a bounded in-process LRU
-  (:class:`~repro.utils.BoundedMemo`-style cap) of verified
-  :class:`~repro.runtime.emission.EmissionRecord` objects.  Shared by
-  every request in the process, so a daemon's near-duplicate traffic is
-  served without touching disk at all.
+  of verified :class:`~repro.runtime.emission.EmissionRecord` objects.
+  Shared by every request in the process, so a daemon's near-duplicate
+  traffic is served without touching disk at all.
 * **Tier 2 — sqlite** (:class:`SqliteTier`): the persistent store, one
   WAL-mode sqlite file per cache root.  Every write is a transaction, so
   two daemons sharing a ``--cache-dir`` cannot tear or double-apply an
@@ -22,10 +21,10 @@ first (the durable copy), then memory.  Their batch forms
 one sqlite connection (one ``SELECT … IN`` read, one write
 transaction); the fleet uses those, and the single-key calls are
 batches of one.  Per-tier hit/miss/put/eviction/corruption/promotion
-counters are recorded both on the tiers themselves (process-lifetime,
-for ``/metrics``) and into an optional per-run :class:`CacheTelemetry`,
-which the engine folds into
-:class:`~repro.runtime.stats.RuntimeStats.cache_tiers`.
+counts are recorded into an optional per-run :class:`CacheTelemetry`,
+built from what the tier operations return, which the engine folds
+into :class:`~repro.runtime.stats.RuntimeStats.cache_tiers`; the tiers
+themselves keep no counters.
 
 The tier-2 store also carries the **cross-daemon singleflight claim
 table**: transactional claim-or-wait rows with generation-stamped
@@ -35,8 +34,8 @@ dies mid-flight is reaped by a waiter on a deterministic tick budget.
 
 Every operation is best-effort: corruption — a malformed sqlite
 payload, even a damaged sqlite file — degrades to a miss, heals the
-offending row (or file) and bumps the tier's corruption counter; a
-lock held past the busy timeout is a miss or a dropped put, never
+offending row (or file) and is reported to the caller as a corruption;
+a lock held past the busy timeout is a miss or a dropped put, never
 damage.  A broken cache must never break synthesis.
 """
 
@@ -48,6 +47,7 @@ import sqlite3
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -140,10 +140,10 @@ def _key_chunks(keys: List[str]) -> Iterator[Tuple[List[str], str]]:
 class CacheTelemetry:
     """Per-run recorder of tier-level cache activity.
 
-    The tiers themselves keep process-lifetime counters (they are shared
-    across requests), so each run records its *own* activity here and
-    folds it into its :class:`~repro.runtime.stats.RuntimeStats` — the
-    per-run stats never double-count another request's traffic.
+    The tiers are shared across requests, so each run records its *own*
+    activity here and folds it into its
+    :class:`~repro.runtime.stats.RuntimeStats` — the per-run stats never
+    double-count another request's traffic.
     """
 
     def __init__(self) -> None:
@@ -177,19 +177,12 @@ class MemoryTier:
         self.max_entries = max(1, max_entries)
         self._lock = threading.Lock()
         self._data: "OrderedDict[str, EmissionRecord]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
 
     def get(self, key: str) -> Optional[EmissionRecord]:
         with self._lock:
             record = self._data.get(key)
-            if record is None:
-                self.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
+            if record is not None:
+                self._data.move_to_end(key)
             return record
 
     def put(self, key: str, record: EmissionRecord) -> int:
@@ -197,12 +190,10 @@ class MemoryTier:
         with self._lock:
             self._data[key] = record
             self._data.move_to_end(key)
-            self.puts += 1
             evicted = 0
             while len(self._data) > self.max_entries:
                 self._data.popitem(last=False)
                 evicted += 1
-            self.evictions += evicted
             return evicted
 
     def invalidate(self, key: str) -> None:
@@ -258,11 +249,6 @@ class SqliteTier:
         #: Whether the current database file has its WAL journal mode
         #: and tables (reset when the file is missing or healed).
         self._ready = False
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
-        self.corruptions = 0
 
     # ------------------------------------------------------------------
     def _connect(self, create: bool) -> Optional[sqlite3.Connection]:
@@ -283,6 +269,18 @@ class SqliteTier:
             conn.close()
             raise
         return conn
+
+    @contextmanager
+    def _open(self, create: bool) -> Iterator[Optional[sqlite3.Connection]]:
+        """:meth:`_connect` as a context: the connection (or ``None``)
+        is closed however the block ends.  Takes no lock; every caller
+        holds ``self._lock`` around the block and its :meth:`_heal`."""
+        conn = self._connect(create)
+        try:
+            yield conn
+        finally:
+            if conn is not None:
+                conn.close()
 
     @staticmethod
     def _setup(conn: sqlite3.Connection) -> None:
@@ -323,7 +321,6 @@ class SqliteTier:
         a lock or any other passing error, which leaves the file be)."""
         if not _is_damage(exc):
             return 0
-        self.corruptions += 1
         self._ready = False
         logger.debug("unlinking damaged sqlite cache %s", self.path)
         for suffix in ("", "-wal", "-shm"):
@@ -363,43 +360,34 @@ class SqliteTier:
         if not wanted:
             return found, 0
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    self.misses += len(wanted)
-                    return found, 0
-                malformed: List[str] = []
-                for chunk, marks in _key_chunks(wanted):
-                    # One payload at a time: a wave's JSON is never all
-                    # in memory at once.
-                    for key, payload in conn.execute(
-                        f"SELECT key, payload FROM records WHERE key IN ({marks})", chunk
-                    ):
-                        try:
-                            found[key] = EmissionRecord.from_json_obj(json.loads(payload))
-                        except (ValueError, RecordError):
-                            malformed.append(key)
-                if malformed or found:
-                    with conn:
-                        for chunk, marks in _key_chunks(malformed):
-                            conn.execute(f"DELETE FROM records WHERE key IN ({marks})", chunk)
-                        # LRU recency bookkeeping only — never a result.
-                        now = time.time()  # repolint: disable=DD502
-                        for chunk, marks in _key_chunks(list(found)):
-                            conn.execute(
-                                f"UPDATE records SET touched = ? WHERE key IN ({marks})",
-                                [now, *chunk],
-                            )
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return found, 0
+                    malformed: List[str] = []
+                    for chunk, marks in _key_chunks(wanted):
+                        # One payload at a time: a wave's JSON is never
+                        # all in memory at once.
+                        for key, payload in conn.execute(
+                            f"SELECT key, payload FROM records WHERE key IN ({marks})", chunk
+                        ):
+                            try:
+                                found[key] = EmissionRecord.from_json_obj(json.loads(payload))
+                            except (ValueError, RecordError):
+                                malformed.append(key)
+                    if malformed or found:
+                        with conn:
+                            for chunk, marks in _key_chunks(malformed):
+                                conn.execute(f"DELETE FROM records WHERE key IN ({marks})", chunk)
+                            # LRU recency bookkeeping only — never a result.
+                            now = time.time()  # repolint: disable=DD502
+                            for chunk, marks in _key_chunks(list(found)):
+                                conn.execute(
+                                    f"UPDATE records SET touched = ? WHERE key IN ({marks})",
+                                    [now, *chunk],
+                                )
             except sqlite3.Error as exc:
-                self.misses += len(wanted)
                 return {}, self._heal(exc)
-            finally:
-                if conn is not None:
-                    conn.close()
-            self.corruptions += len(malformed)
-            self.hits += len(found)
-            self.misses += len(wanted) - len(found)
             return found, len(malformed)
 
     def put_many(
@@ -416,41 +404,36 @@ class SqliteTier:
         if not items:
             return True, [], 0
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=True)
-                assert conn is not None
-                # LRU recency bookkeeping only — never a result.
-                now = time.time()  # repolint: disable=DD502
-                with conn:
-                    conn.executemany(
-                        "INSERT OR REPLACE INTO records (key, payload, touched) "
-                        "VALUES (?, ?, ?)",
-                        (
-                            (key, json.dumps(record.to_json_obj(), separators=(",", ":")), now)
-                            for key, record in items
-                        ),
-                    )
-                torn = [fault_mod.note_put() for _ in items]
-                if any(torn):
-                    # A torn record that a later copy of its key
-                    # replaced in the batch stays replaced.
-                    last = {key: i for i, (key, _record) in enumerate(items)}
+                with self._open(create=True) as conn:
+                    assert conn is not None
+                    # LRU recency bookkeeping only — never a result.
+                    now = time.time()  # repolint: disable=DD502
                     with conn:
                         conn.executemany(
-                            "UPDATE records SET payload = ? WHERE key = ?",
-                            [
-                                ('{"cells": [[', key)
-                                for i, (key, _record) in enumerate(items)
-                                if torn[i] and last[key] == i
-                            ],
+                            "INSERT OR REPLACE INTO records (key, payload, touched) "
+                            "VALUES (?, ?, ?)",
+                            (
+                                (key, json.dumps(record.to_json_obj(), separators=(",", ":")), now)
+                                for key, record in items
+                            ),
                         )
+                    torn = [fault_mod.note_put() for _ in items]
+                    if any(torn):
+                        # A torn record that a later copy of its key
+                        # replaced in the batch stays replaced.
+                        last = {key: i for i, (key, _record) in enumerate(items)}
+                        with conn:
+                            conn.executemany(
+                                "UPDATE records SET payload = ? WHERE key = ?",
+                                [
+                                    ('{"cells": [[', key)
+                                    for i, (key, _record) in enumerate(items)
+                                    if torn[i] and last[key] == i
+                                ],
+                            )
             except sqlite3.Error:
                 return False, [False] * len(items), 0
-            finally:
-                if conn is not None:
-                    conn.close()
-            self.puts += len(items)
             self._puts_since_evict += len(items)
             evicted = 0
             if self._puts_since_evict >= _EVICT_EVERY:
@@ -460,18 +443,14 @@ class SqliteTier:
 
     def invalidate(self, key: str) -> None:
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return
-                with conn:
-                    conn.execute("DELETE FROM records WHERE key = ?", (key,))
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return
+                    with conn:
+                        conn.execute("DELETE FROM records WHERE key = ?", (key,))
             except sqlite3.Error as exc:
                 self._heal(exc)
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def evict_to_cap(self) -> int:
         """Drop least-recently-touched rows beyond ``max_entries``."""
@@ -479,29 +458,24 @@ class SqliteTier:
             return self._evict_locked()
 
     def _evict_locked(self) -> int:
-        conn: Optional[sqlite3.Connection] = None
         try:
-            conn = self._connect(create=False)
-            if conn is None:
-                return 0
-            (count,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
-            excess = int(count) - self.max_entries
-            if excess <= 0:
-                return 0
-            with conn:
-                conn.execute(
-                    "DELETE FROM records WHERE key IN ("
-                    "SELECT key FROM records ORDER BY touched ASC, key ASC LIMIT ?)",
-                    (excess,),
-                )
-            self.evictions += excess
-            return excess
+            with self._open(create=False) as conn:
+                if conn is None:
+                    return 0
+                (count,) = conn.execute("SELECT COUNT(*) FROM records").fetchone()
+                excess = int(count) - self.max_entries
+                if excess <= 0:
+                    return 0
+                with conn:
+                    conn.execute(
+                        "DELETE FROM records WHERE key IN ("
+                        "SELECT key FROM records ORDER BY touched ASC, key ASC LIMIT ?)",
+                        (excess,),
+                    )
+                return excess
         except sqlite3.Error as exc:
             self._heal(exc)
             return 0
-        finally:
-            if conn is not None:
-                conn.close()
 
     # ------------------------------------------------------------------
     # Cross-daemon singleflight claims.
@@ -541,41 +515,37 @@ class SqliteTier:
         if not keys:
             return out
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=True)
-                assert conn is not None
-                conn.isolation_level = None
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    staged: Dict[str, Tuple[str, int, str]] = {}
-                    generation: Optional[int] = None
-                    for key in keys:
-                        row = conn.execute(
-                            "SELECT owner, generation FROM claims WHERE key = ?",
-                            (key,),
-                        ).fetchone()
-                        if row is not None:
-                            staged[key] = ("held", int(row[1]), str(row[0]))
-                            continue
-                        if generation is None:
-                            generation = self._next_generation(conn)
-                        conn.execute(
-                            "INSERT INTO claims (key, owner, generation, waits) "
-                            "VALUES (?, ?, ?, 0)",
-                            (key, owner, generation),
-                        )
-                        staged[key] = ("won", generation, owner)
-                    conn.execute("COMMIT")
-                    out.update(staged)
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
+                with self._open(create=True) as conn:
+                    assert conn is not None
+                    conn.isolation_level = None
+                    conn.execute("BEGIN IMMEDIATE")
+                    try:
+                        staged: Dict[str, Tuple[str, int, str]] = {}
+                        generation: Optional[int] = None
+                        for key in keys:
+                            row = conn.execute(
+                                "SELECT owner, generation FROM claims WHERE key = ?",
+                                (key,),
+                            ).fetchone()
+                            if row is not None:
+                                staged[key] = ("held", int(row[1]), str(row[0]))
+                                continue
+                            if generation is None:
+                                generation = self._next_generation(conn)
+                            conn.execute(
+                                "INSERT INTO claims (key, owner, generation, waits) "
+                                "VALUES (?, ?, ?, 0)",
+                                (key, owner, generation),
+                            )
+                            staged[key] = ("won", generation, owner)
+                        conn.execute("COMMIT")
+                        out.update(staged)
+                    except BaseException:
+                        conn.execute("ROLLBACK")
+                        raise
             except sqlite3.Error:
                 pass
-            finally:
-                if conn is not None:
-                    conn.close()
         return out
 
     def release_claims(self, leases: Sequence[Tuple[str, int]]) -> None:
@@ -587,64 +557,52 @@ class SqliteTier:
         if not leases:
             return
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return
-                with conn:
-                    conn.executemany(
-                        "DELETE FROM claims WHERE key = ? AND generation = ?",
-                        [(key, gen) for key, gen in leases],
-                    )
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return
+                    with conn:
+                        conn.executemany(
+                            "DELETE FROM claims WHERE key = ? AND generation = ?",
+                            [(key, gen) for key, gen in leases],
+                        )
             except sqlite3.Error:
                 pass
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def claim_state(self, key: str) -> Optional[Tuple[str, int, int]]:
         """``(owner, generation, waits)`` of the live lease, or ``None``."""
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return None
-                row = conn.execute(
-                    "SELECT owner, generation, waits FROM claims WHERE key = ?",
-                    (key,),
-                ).fetchone()
-                if row is None:
-                    return None
-                return str(row[0]), int(row[1]), int(row[2])
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return None
+                    row = conn.execute(
+                        "SELECT owner, generation, waits FROM claims WHERE key = ?",
+                        (key,),
+                    ).fetchone()
+                    if row is None:
+                        return None
+                    return str(row[0]), int(row[1]), int(row[2])
             except sqlite3.Error:
                 return None
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def bump_claim_wait(self, key: str, generation: int) -> bool:
         """Tick the lease's ``waits`` column (telemetry that a waiter is
         parked on it); False when that exact lease no longer exists."""
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return False
-                with conn:
-                    cur = conn.execute(
-                        "UPDATE claims SET waits = waits + 1 "
-                        "WHERE key = ? AND generation = ?",
-                        (key, generation),
-                    )
-                return cur.rowcount > 0
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return False
+                    with conn:
+                        cur = conn.execute(
+                            "UPDATE claims SET waits = waits + 1 "
+                            "WHERE key = ? AND generation = ?",
+                            (key, generation),
+                        )
+                    return cur.rowcount > 0
             except sqlite3.Error:
                 return False
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def reap_claim(
         self, key: str, generation: int, owner: str
@@ -659,56 +617,48 @@ class SqliteTier:
         then re-claim), or ``("error", 0, "")`` on sqlite failure.
         """
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=True)
-                assert conn is not None
-                conn.isolation_level = None
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    row = conn.execute(
-                        "SELECT owner, generation FROM claims WHERE key = ?",
-                        (key,),
-                    ).fetchone()
-                    if row is None:
-                        result = ("gone", 0, "")
-                    elif int(row[1]) != generation:
-                        result = ("held", int(row[1]), str(row[0]))
-                    else:
-                        new_gen = self._next_generation(conn)
-                        conn.execute(
-                            "UPDATE claims SET owner = ?, generation = ?, waits = 0 "
-                            "WHERE key = ?",
-                            (owner, new_gen, key),
-                        )
-                        result = ("won", new_gen, owner)
-                    conn.execute("COMMIT")
-                    return result  # type: ignore[return-value]
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
+                with self._open(create=True) as conn:
+                    assert conn is not None
+                    conn.isolation_level = None
+                    conn.execute("BEGIN IMMEDIATE")
+                    try:
+                        row = conn.execute(
+                            "SELECT owner, generation FROM claims WHERE key = ?",
+                            (key,),
+                        ).fetchone()
+                        if row is None:
+                            result = ("gone", 0, "")
+                        elif int(row[1]) != generation:
+                            result = ("held", int(row[1]), str(row[0]))
+                        else:
+                            new_gen = self._next_generation(conn)
+                            conn.execute(
+                                "UPDATE claims SET owner = ?, generation = ?, waits = 0 "
+                                "WHERE key = ?",
+                                (owner, new_gen, key),
+                            )
+                            result = ("won", new_gen, owner)
+                        conn.execute("COMMIT")
+                        return result  # type: ignore[return-value]
+                    except BaseException:
+                        conn.execute("ROLLBACK")
+                        raise
             except sqlite3.Error:
                 return ("error", 0, "")
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def keys(self) -> List[str]:
         """Every key currently stored (deterministic order)."""
         with self._lock:
-            conn: Optional[sqlite3.Connection] = None
             try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return []
-                rows = conn.execute("SELECT key FROM records ORDER BY key").fetchall()
-                return [r[0] for r in rows]
+                with self._open(create=False) as conn:
+                    if conn is None:
+                        return []
+                    rows = conn.execute("SELECT key FROM records ORDER BY key").fetchall()
+                    return [r[0] for r in rows]
             except sqlite3.Error as exc:
                 self._heal(exc)
                 return []
-            finally:
-                if conn is not None:
-                    conn.close()
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -818,9 +768,8 @@ class TieredEmissionCache:
                     tele.note(TIER_MEMORY, "evictions", mem_evicted)
         return len(items)
 
-    def invalidate(self, key: str, tele: Optional[CacheTelemetry] = None) -> None:
+    def invalidate(self, key: str) -> None:
         """Drop one entry from every tier (failed hit re-verification)."""
-        del tele  # reserved: invalidations are visible via cache_rejected
         self.memory.invalidate(key)
         self.disk.invalidate(key)
 

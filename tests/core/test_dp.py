@@ -9,7 +9,7 @@ from repro.bdd.manager import BDDManager
 from repro.core.binpack import pack_or_cost
 from repro.core.config import DDBDDConfig
 from repro.core.dp import BDDSynthesizer
-from repro.core.linear import KIND_PRIORITY, candidates_for_cut
+from repro.core.linear import KIND_PRIORITY, Candidate, candidates_for_cut
 from repro.network.netlist import BooleanNetwork
 from repro.network.simulate import exhaustive_patterns, simulate_outputs
 
@@ -301,12 +301,35 @@ def test_dp_plan_matches_candidate_argmin(data, n, k, special, thresh):
     cfg = DDBDDConfig(k=k, thresh=thresh, use_special_decompositions=special)
     synth = BDDSynthesizer(m, f, delays, cfg)
     synth.synthesize()
-    for state, best in list(synth._plan.items()):
-        if best.candidate.kind in _BASE_KINDS:
+    for state, got in list(synth._plan.items()):
+        if got.kind in _BASE_KINDS:
             continue
         delay, luts, ref = _reference_choice(synth, state)
-        got = best.candidate
         assert (got.kind, got.j, got.operands) == (ref.kind, ref.j, ref.operands), state
         assert [g.ops for g in got.gates] == [g.ops for g in ref.gates], state
-        assert (best.delay, best.luts) == (delay, luts), state
+        # The plan keeps only the Candidate; the search reports the
+        # winner's LUT count, and repeats the planned choice.
+        search_delay, search_luts, again = synth._search_cuts(*state)
+        assert (again.kind, again.j, again.operands) == (got.kind, got.j, got.operands), state
+        assert (search_delay, search_luts) == (delay, luts), state
         assert synth._delay[state] == delay
+
+
+def test_plan_keeps_one_candidate_per_state_and_shares_base_ones():
+    """The plan maps every state straight to its Candidate, and every
+    base state of one kind (literal, litfunc, lut) shares one object."""
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(6):
+        m = BDDManager(7)
+        f = m.from_truth_table([rng.randint(0, 1) for _ in range(1 << 7)], list(range(7)))
+        synth = BDDSynthesizer(m, f, {v: 0 for v in m.support_ordered(f)}, DDBDDConfig(k=3))
+        synth.synthesize()
+        assert len(synth._plan) == synth.states_visited
+        assert all(type(cand) is Candidate for cand in synth._plan.values())
+        for kind in _BASE_KINDS:
+            shared = {id(cand) for cand in synth._plan.values() if cand.kind == kind}
+            assert len(shared) <= 1, kind
+            if shared:
+                kinds.add(kind)
+    assert kinds == set(_BASE_KINDS)

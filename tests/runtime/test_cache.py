@@ -200,9 +200,8 @@ def test_cache_garbage_payload_is_a_miss(tmp_path):
     assert tier.put(key, _record())[0]
     garbage = {"cells": [[["q9"], "01"]], "out": ["c0", 0, 1], "stats": [0, 0, 1]}
     _sqlite_set_payload(tmp_path, key, json.dumps(garbage))
-    assert tier.get(key) == (None, 1)
+    assert tier.get(key) == (None, 1), "one miss, one corruption"
     assert tier.keys() == [], "a structurally invalid record must be deleted"
-    assert (tier.corruptions, tier.misses) == (1, 1)
 
 
 def test_cache_corruptions_counter_accumulates(tmp_path):
@@ -211,15 +210,32 @@ def test_cache_corruptions_counter_accumulates(tmp_path):
     for key in keys:
         assert tier.put(key, _record())[0]
         _sqlite_set_payload(tmp_path, key, '{"cells": [[')
-    assert all(tier.get(key) == (None, 1) for key in keys)
-    assert tier.corruptions == 3
+    reads = [tier.get(key) for key in keys]
+    assert all(record is None for record, _ in reads)
+    corruptions = sum(corrupt for _, corrupt in reads)
+    assert corruptions == 3
     # The slots healed: a fresh put + get round-trips again.
     assert tier.put(keys[0], _record())[0]
-    assert tier.get(keys[0]) == (_record(), 0)
-    assert tier.corruptions == 3
+    record, corrupt = tier.get(keys[0])
+    assert record == _record()
+    assert corruptions + corrupt == 3
 
 
-def test_keys_survive_vanishing_store_file(tmp_path):
+def _count_heals(monkeypatch, tier: SqliteTier) -> list:
+    """The corruptions ``tier`` reports from its heals (the return
+    values of ``_heal``) from now on, one entry per heal attempt."""
+    heal = tier._heal
+    healed: list = []
+
+    def counted(exc):
+        healed.append(heal(exc))
+        return healed[-1]
+
+    monkeypatch.setattr(tier, "_heal", counted)
+    return healed
+
+
+def test_keys_survive_vanishing_store_file(tmp_path, monkeypatch):
     tier = SqliteTier(tmp_path)
     key = "ef" + "0" * 62
     assert tier.put(key, _record())[0]
@@ -227,21 +243,23 @@ def test_keys_survive_vanishing_store_file(tmp_path):
     # Another process healed the shared store away under us.
     for path in tmp_path.iterdir():
         path.unlink()
+    healed = _count_heals(monkeypatch, tier)
     assert tier.keys() == []
     assert len(tier) == 0
-    assert tier.corruptions == 0
+    assert sum(healed) == 0, "a vanished store is no corruption"
     # The next put sets a new file up from scratch.
     assert tier.put(key, _record())[0]
     assert tier.get(key) == (_record(), 0)
 
 
-def test_cache_threaded_puts_against_eviction(tmp_path):
+def test_cache_threaded_puts_against_eviction(tmp_path, monkeypatch):
     # Hammer one store from a writer thread (puts + invalidations) while
     # the main thread loops eviction and listing.  The contract is
     # crash-freedom and cap enforcement, not a specific surviving set.
     import threading
 
     tier = SqliteTier(tmp_path, max_entries=8)
+    healed = _count_heals(monkeypatch, tier)
     errors = []
 
     def writer():
@@ -266,4 +284,4 @@ def test_cache_threaded_puts_against_eviction(tmp_path):
     assert not errors, f"writer thread crashed: {errors}"
     tier.evict_to_cap()
     assert len(tier) <= 8
-    assert tier.corruptions == 0
+    assert sum(healed) == 0

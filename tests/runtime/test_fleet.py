@@ -5,6 +5,7 @@ with every duplicated signature computed exactly once."""
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 
@@ -382,4 +383,48 @@ def test_dead_daemon_lease_is_reaped_and_recomputed(tmp_path, monkeypatch):
     assert sorted(reader.keys()) == sorted(keys)
     for key in keys:
         assert reader.claim_state(key) is None
+    reset_fleet()
+
+
+def test_warm_wave_verifies_a_repeated_key_once(tmp_path, monkeypatch):
+    """A warm ``ttt2`` at verify_level 1 has a wavefront holding one
+    signature twice.  The wave looks its distinct keys up once and
+    verifies each hit once: the key's second copy shares the first
+    copy's verdict, and the cover is the pinned one."""
+    from repro.network import network_to_blif
+    from tests.flow.test_golden_equivalence import TABLE1_BLIF_SHA256
+
+    reset_fleet()
+
+    def config() -> DDBDDConfig:
+        return DDBDDConfig(
+            jobs=1, cache="readwrite", cache_dir=str(tmp_path), verify_level=1
+        )
+
+    ddbdd_synthesize(build_circuit("ttt2"), config())
+    verified: list = []
+    waves: list = []
+    real_verify = fleet_mod.verify_record
+    real_run_wave = fleet_mod.FleetScheduler.run_wave
+
+    def counted_verify(*args):
+        verified.append(args[0])
+        return real_verify(*args)
+
+    def recorded_run_wave(self, req, items):
+        before = len(verified)
+        outcomes = real_run_wave(self, req, items)
+        waves.append(([item.key for item in items], len(verified) - before))
+        return outcomes
+
+    monkeypatch.setattr(fleet_mod, "verify_record", counted_verify)
+    monkeypatch.setattr(fleet_mod.FleetScheduler, "run_wave", recorded_run_wave)
+    warm = ddbdd_synthesize(build_circuit("ttt2"), config())
+    stats = warm.runtime_stats
+    assert stats.cache_misses == 0 and stats.cache_rejected == 0
+    assert any(len(set(keys)) < len(keys) for keys, _ in waves), "a repeated key"
+    for keys, calls in waves:
+        assert calls == len(set(keys)), "one verification per distinct key"
+    blif = network_to_blif(warm.network)
+    assert hashlib.sha256(blif.encode()).hexdigest() == TABLE1_BLIF_SHA256["ttt2"]
     reset_fleet()
