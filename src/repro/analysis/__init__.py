@@ -13,17 +13,15 @@ the system *claims* rather than trusting it.
   failures: degraded covers, budget breaches, pool recoveries (DD4xx).
 * :mod:`repro.analysis.hooks` — :class:`StageVerifier`, the flow's
   stage-boundary verification driven by ``DDBDDConfig.verify_level``.
-* :mod:`repro.analysis.astutil` — the shared AST visitor toolkit
-  (findings, suppression comments, import resolution) both source
-  linters are built on.
-* :mod:`repro.analysis.repolint` — the AST-based project lint gate
-  (``python -m repro.analysis.repolint src/``), rules ``RLxxx``.
+* :mod:`repro.analysis.repolint` — the one source lint gate
+  (``ddbdd lint`` / ``python -m repro.analysis.repolint src/``): the
+  ``RLxxx`` coding rules and the ``DD5xx`` determinism rules (hash-order
+  leaks, nondeterminism sources, float-sum convention and fork-unsafe
+  worker code) in one pass.
+* :mod:`repro.analysis.astutil` — the AST visitor toolkit (findings,
+  suppression comments, import resolution) the linter is built on.
 * :mod:`repro.analysis.purity` — best-effort function purity facts and
   the static call graph (feeds the fork-safety rule).
-* :mod:`repro.analysis.detcheck` — the determinism & fork-safety
-  analyzer (``ddbdd lint --det``), rules ``DD5xx``: hash-order leaks,
-  nondeterminism sources, float-sum convention and fork-unsafe worker
-  code.
 """
 
 from repro.analysis.bddcheck import check_bdd_manager

@@ -1,14 +1,13 @@
-"""Shared AST visitor toolkit for the static analyzers.
+"""AST visitor toolkit for the source linter.
 
-:mod:`repro.analysis.repolint` (``RLxxx`` repo rules) and
-:mod:`repro.analysis.detcheck` (``DD5xx`` determinism rules) are both
-pure-stdlib AST linters over the project source.  This module holds the
-machinery they share so a rule module only contains rules:
+:mod:`repro.analysis.repolint` (the ``RLxxx`` repo rules and the
+``DD5xx`` determinism rules) and :mod:`repro.analysis.purity` (the
+DD504 call-graph facts) are pure-stdlib AST code over the project
+source.  This module holds the machinery they share so a rule module
+only contains rules:
 
-* :class:`Finding` — one ``path:line:col: CODE message`` finding, with a
-  stable ``symbol`` (enclosing function/class qualname) used by the
-  detcheck baseline to survive line drift.
-* suppression handling — both linters honor the same comment syntax,
+* :class:`Finding` — one ``path:line:col: CODE message`` finding.
+* suppression handling — one comment syntax for every rule,
   ``# repolint: disable=CODE[,CODE...]`` on the offending line.
   :func:`suppression_comments` returns every code spelled anywhere (for
   staleness checking); :func:`apply_suppressions` drops the findings a
@@ -16,12 +15,11 @@ machinery they share so a rule module only contains rules:
 * :func:`python_files` / :func:`iter_sources` — deterministic source
   discovery under a mix of files and directories.
 * :func:`parse_module` — ``ast.parse`` with the ``SyntaxError`` turned
-  into a finding instead of an exception.
+  into an ``RL000`` finding instead of an exception.
 * :class:`ImportMap` — best-effort resolution of local names to dotted
   module paths (``from os import urandom as u`` makes ``u`` resolve to
   ``os.urandom``), including lazy in-function imports.
-* :func:`dotted_name` / :func:`qualname_map` — textual call targets and
-  enclosing-scope names for every node.
+* :func:`dotted_name` — the textual dotted name of a call target.
 """
 
 from __future__ import annotations
@@ -31,42 +29,24 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-#: The shared suppression comment marker.  One syntax for every analyzer
-#: in this package: ``# repolint: disable=RL004`` and
-#: ``# repolint: disable=DD501`` work the same way.
+#: The suppression comment marker.  One syntax for every rule:
+#: ``# repolint: disable=RL004`` and ``# repolint: disable=DD501`` work
+#: the same way.
 DISABLE_MARK = "repolint: disable="
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One static-analysis finding, pointing at ``path:line:col``.
-
-    ``symbol`` names the enclosing function/class (qualname) or offending
-    identifier; it is the line-number-independent key the detcheck
-    baseline matches on.
-    """
+    """One static-analysis finding, pointing at ``path:line:col``."""
 
     path: str
     line: int
     col: int
     code: str
     message: str
-    symbol: str = ""
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready representation (stable key order is the caller's
-        job via ``sort_keys``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "symbol": self.symbol,
-        }
 
 
 def python_files(paths: Sequence[Path]) -> List[Path]:
@@ -87,11 +67,11 @@ def iter_sources(paths: Sequence[Path]) -> Iterator[Tuple[Path, str]]:
 
 
 def parse_module(
-    source: str, path: str, syntax_code: str = "RL000"
+    source: str, path: str
 ) -> Tuple[Optional[ast.Module], Optional[Finding]]:
-    """Parse ``source``; a ``SyntaxError`` becomes a ``syntax_code``
-    finding instead of an exception, so a gate fails on an unparsable
-    file like on any other rule."""
+    """Parse ``source``; a ``SyntaxError`` becomes an ``RL000`` finding
+    instead of an exception, so the gate fails on an unparsable file
+    like on any other rule."""
     try:
         return ast.parse(source, filename=path), None
     except SyntaxError as exc:
@@ -99,7 +79,7 @@ def parse_module(
             path,
             exc.lineno or 0,
             exc.offset or 0,
-            syntax_code,
+            "RL000",
             f"unparsable file: {exc.msg}",
         )
 
@@ -144,7 +124,7 @@ def apply_suppressions(
 
 
 # ----------------------------------------------------------------------
-# Names and scopes
+# Names
 # ----------------------------------------------------------------------
 def dotted_name(node: ast.AST) -> Optional[str]:
     """The textual dotted name of a ``Name``/``Attribute`` chain
@@ -157,41 +137,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def qualname_map(tree: ast.Module) -> Dict[ast.AST, str]:
-    """Map every function/class def node to its dotted qualname
-    (``Class.method``, ``outer.inner``)."""
-    out: Dict[ast.AST, str] = {}
-    _qualname_walk(tree, "", out)
-    return out
-
-
-def _qualname_walk(node: ast.AST, prefix: str, out: Dict[ast.AST, str]) -> None:
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qual = f"{prefix}{child.name}"
-            out[child] = qual
-            _qualname_walk(child, qual + ".", out)
-        else:
-            _qualname_walk(child, prefix, out)
-
-
-def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
-    """Map every source line to the qualname of its innermost enclosing
-    function/class (lines at module level map to ``""``).  Used to give
-    findings a drift-stable ``symbol``."""
-    spans: List[Tuple[int, int, str]] = []
-    for node, qual in qualname_map(tree).items():
-        end = getattr(node, "end_lineno", None) or node.lineno
-        spans.append((node.lineno, end, qual))
-    # Innermost wins: sort wider spans first so narrower ones overwrite.
-    spans.sort(key=lambda s: (-(s[1] - s[0]), s[0]))
-    out: Dict[int, str] = {}
-    for start, end, qual in spans:
-        for line in range(start, end + 1):
-            out[line] = qual
-    return out
 
 
 class ImportMap:

@@ -1,4 +1,4 @@
-"""Function purity and fork-safety facts (support for detcheck DD504).
+"""Function purity and fork-safety facts (support for repolint's DD504).
 
 The parallel runtime ships :class:`~repro.runtime.pool.SupernodeJob`
 payloads into forked worker processes; its determinism contract says a
@@ -112,10 +112,6 @@ class ModuleFacts:
         self.imports = ImportMap(self.tree)
         self._collect_module_level()
         self._collect_functions(self.tree, "")
-
-    @staticmethod
-    def from_source(source: str, path: str, modname: str) -> "ModuleFacts":
-        return ModuleFacts(modname, path, ast.parse(source, filename=path))
 
     def _collect_module_level(self) -> None:
         for node in self.tree.body:

@@ -14,9 +14,9 @@ Subcommands
 ``vpr``      — run the VPR-like flow on a mapped BLIF file.
 ``check``    — run the IR invariant checkers on a circuit and report
                structured ``DDxxx`` diagnostics.
-``lint``     — run the project lint pass (``repro.analysis.repolint``),
-               or the determinism analyzer with ``--det``
-               (``repro.analysis.detcheck``).
+``lint``     — run the source lint gate (``repro.analysis.repolint``):
+               every RLxxx and DD5xx rule over the given paths
+               (default ``src/repro``).
 ``analyze``  — list every static analyzer and the codes it reports.
 """
 
@@ -70,7 +70,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         verify_level=args.verify_level,
         cache=args.cache,
         cache_dir=args.cache_dir,
-        fleet_weight=args.fleet_weight,
         **kwargs,
     )
     def run():
@@ -233,14 +232,6 @@ def main(argv: Optional[list] = None) -> int:
         help="cache directory (default: .ddbdd_cache)",
     )
     p.add_argument(
-        "--fleet-weight",
-        type=int,
-        default=1,
-        metavar="W",
-        help="fair-share admission weight in the process-wide worker "
-        "fleet (relative; default 1)",
-    )
-    p.add_argument(
         "--job-deadline",
         type=float,
         default=None,
@@ -365,34 +356,11 @@ def main(argv: Optional[list] = None) -> int:
     )
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("lint", help="run the project lint pass (repolint)")
+    p = sub.add_parser("lint", help="run the source lint gate (repolint)")
     p.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default with --det: src/repro)",
-    )
-    p.add_argument(
-        "--det",
-        action="store_true",
-        help="run the determinism & fork-safety analyzer (DD5xx) instead "
-        "of repolint",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="emit findings as JSON (--det only)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="tolerate findings recorded in this baseline file (--det only)",
-    )
-    p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings (--det only)",
+        help="files or directories to lint (default: src/repro)",
     )
     p.set_defaults(func=_cmd_lint)
 
@@ -475,23 +443,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    if args.det:
-        from repro.analysis.detcheck import main as detcheck_main
-
-        argv = list(args.paths)
-        if args.as_json:
-            argv.append("--json")
-        if args.update_baseline:
-            argv.append("--update-baseline")
-        if args.baseline:
-            argv += ["--baseline", args.baseline]
-        return detcheck_main(argv)
-    if args.as_json or args.baseline or args.update_baseline:
-        print("lint: --json/--baseline/--update-baseline need --det", file=sys.stderr)
-        return 2
-    if not args.paths:
-        print("lint: no paths given", file=sys.stderr)
-        return 2
     from repro.analysis.repolint import main as repolint_main
 
     return repolint_main(args.paths)
@@ -499,19 +450,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import DIAGNOSTIC_CODES
-    from repro.analysis.detcheck import RULES as DET_RULES
     from repro.analysis.repolint import RULES as LINT_RULES
 
     groups = [
         (
             "repolint",
-            "project hygiene gate over the source tree (ddbdd lint PATH...)",
+            "source lint gate: coding contract, determinism and fork "
+            "safety (ddbdd lint [PATH...])",
             LINT_RULES,
-        ),
-        (
-            "detcheck",
-            "determinism & fork-safety analyzer (ddbdd lint --det)",
-            DET_RULES,
         ),
         (
             "netcheck/bddcheck/covercheck/failcheck",

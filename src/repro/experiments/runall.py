@@ -58,7 +58,7 @@ def run_all(
     if cache_dir is not None:
         runtime_kwargs["cache_dir"] = cache_dir
     shared_config = DDBDDConfig(**runtime_kwargs) if runtime_kwargs else None
-    start = time.time()
+    start = time.perf_counter()
     for label, fn, kwargs in _EXPERIMENTS:
         if label in skip:
             continue
@@ -66,14 +66,14 @@ def run_all(
         if shared_config is not None:
             call_kwargs["config"] = shared_config
         call_kwargs.update(overrides.get(label, {}))
-        t = time.time()
+        t = time.perf_counter()
         result = fn(**call_kwargs)
         results[label] = result
         if out is not None:
-            out.write(f"===== {label} ({time.time() - t:.0f}s) =====\n")
+            out.write(f"===== {label} ({time.perf_counter() - t:.0f}s) =====\n")
             out.write(result.render())
             out.write("\n\n")
             out.flush()
     if out is not None:
-        out.write(f"total {time.time() - start:.0f}s\n")
+        out.write(f"total {time.perf_counter() - start:.0f}s\n")
     return results

@@ -1,14 +1,16 @@
-"""The AST-based project lint gate."""
+"""The AST-based project lint gate: its RLxxx rules, its one pass and
+its two entry points."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.analysis.repolint import RULES, lint_paths, lint_source, main
+from repro.cli import main as cli_main
 
 
 def _codes(source: str) -> "list[str]":
-    return [f.code for f in lint_source(source)]
+    return [f.code for f in lint_source(source) if f.code.startswith("RL")]
 
 
 def test_rl001_mutable_defaults():
@@ -79,9 +81,12 @@ def test_rl006_unknown_rule_code():
     assert "not a repolint rule" in findings[0].message
 
 
-def test_rl006_ignores_foreign_codes():
-    # detcheck owns DD5xx; repolint must not second-guess those lines.
-    assert _codes("for x in s:  # repolint: disable=DD501\n    pass\n") == []
+def test_rl006_stale_dd_suppression():
+    # RL006 checks the DD codes a comment lists as well as the RL ones.
+    findings = lint_source("def _key(s):\n    return s  # repolint: disable=DD502\n")
+    assert [f.code for f in findings] == ["RL006"]
+    assert "DD502 suppresses nothing" in findings[0].message
+    assert _codes("for x in s:  # repolint: disable=DD501\n    pass\n") == ["RL006"]
 
 
 def test_rl006_live_suppression_is_clean():
@@ -128,6 +133,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main([str(dirty)]) == 1
     assert "RL001" in capsys.readouterr().out
     assert main([str(tmp_path / "missing.py")]) == 2
+
+
+def test_cli_lint_runs_every_rule(tmp_path, capsys):
+    # One `ddbdd lint` run reports both rule families.
+    clean = tmp_path / "clean.py"
+    clean.write_text("def api(x: int) -> int:\n    return x\n")
+    assert cli_main(["lint", str(clean)]) == 0
+    dirty = tmp_path / "dirty"
+    dirty.mkdir()
+    (dirty / "defaults.py").write_text("def _f(x=[]):\n    return x\n")
+    (dirty / "keys.py").write_text("def _key(s):\n    return hash(s)\n")
+    capsys.readouterr()
+    assert cli_main(["lint", str(dirty)]) == 1
+    out = capsys.readouterr().out
+    assert sorted(line.split()[1] for line in out.splitlines()) == ["DD502", "RL001"]
+    assert cli_main(["lint", str(tmp_path / "missing.py")]) == 2
 
 
 def test_rl000_unparsable_file():

@@ -13,7 +13,7 @@ interpreters under different hash seeds and require bit-identical
 fingerprints.
 
 The audited-but-benign suspects from the same run are asserted clean in
-``tests/analysis/test_detcheck.py::test_repo_source_tree_is_clean``
+``tests/analysis/test_repolint.py::test_repo_source_tree_is_clean``
 (``core/collapse.py`` set-difference loops feed commutative counters;
 ``bdd/leveled.py`` sorts its cut members before use).
 """
